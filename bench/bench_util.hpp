@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "common/types.hpp"
 #include "obs/run_report.hpp"
@@ -109,11 +110,36 @@ inline double ms(SimTime ns) { return static_cast<double>(ns) / 1e6; }
 inline double us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 inline double secs(SimTime ns) { return static_cast<double>(ns) / 1e9; }
 
-inline void header(const char* title, const char* paper_ref) {
+/// Banner naming the executor that runs the bench: the HAL_MACHINE selection,
+/// or `pinned_machine` for a bench that picks its executor itself.
+inline void header(const char* title, const char* paper_ref,
+                   const char* pinned_machine = nullptr) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);
   std::printf("reproduces: %s\n", paper_ref);
-  std::printf("machine: virtual-time simulator calibrated to a CM-5 node\n");
+  if (pinned_machine != nullptr) {
+    std::printf("machine: %s\n", pinned_machine);
+  } else {
+    switch (env_machine(MachineKind::kSim)) {
+      case MachineKind::kSim:
+        std::printf("machine: virtual-time simulator calibrated to a CM-5 "
+                    "node\n");
+        break;
+      case MachineKind::kThread:
+        std::printf("machine: ThreadMachine, one host thread per node; "
+                    "wall-clock time\n");
+        break;
+      case MachineKind::kMn: {
+        const std::uint32_t requested = env_mn_workers();
+        std::printf("machine: MnMachine, each run's nodes on min(nodes, %u) "
+                    "worker threads (%s); wall-clock time\n",
+                    requested != 0 ? requested
+                                   : std::thread::hardware_concurrency(),
+                    requested != 0 ? "HAL_MN_WORKERS" : "host cores");
+        break;
+      }
+    }
+  }
   std::printf("==============================================================\n");
 }
 

@@ -241,7 +241,8 @@ int main() {
   hal::bench::header(
       "CAF-style mailbox storms (ThreadMachine, batching off vs on)",
       "destination-coalesced wire batching: per-message overhead amortized "
-      "per frame");
+      "per frame",
+      "ThreadMachine, one host thread per node; wall-clock time");
 
   const bool paper = hal::bench::paper_scale();
   const std::uint64_t flood_n = paper ? 2'000'000 : 200'000;

@@ -136,7 +136,8 @@ void print_row(const char* workload, std::uint32_t workers,
 int main() {
   using namespace hal::bench;
   header("MnMachine scaling: M nodes on N workers",
-         "ROADMAP item 1 — the paper's P-node protocols at P >> cores");
+         "ROADMAP item 1 — the paper's P-node protocols at P >> cores",
+         "MnMachine, worker pool size per row; wall-clock time");
 
   const NodeId nodes =
       static_cast<NodeId>(env_unsigned("HAL_MN_NODES", 4096));

@@ -1,7 +1,8 @@
 // Growable power-of-two ring deque.
 //
 // The dispatcher's ready structure and every actor's mailbox/pending queue
-// are FIFO queues that live on a messaging hot path. std::deque pays one
+// are queues that live on a messaging hot path (the dispatcher takes from
+// either end; mailboxes and pending queues are FIFO). std::deque pays one
 // map-chunk allocation per ~512 bytes of queued data and never returns a
 // chunk to a free list, so steady-state messaging churns the allocator even
 // when queue depth is bounded. RingDeque keeps elements in one contiguous
@@ -43,6 +44,11 @@ class RingDeque {
     return slots_[head_];
   }
 
+  const T& back() const {
+    HAL_DASSERT(size_ > 0);
+    return slots_[(head_ + size_ - 1) & mask_];
+  }
+
   /// i-th element from the front (0 == front()).
   T& operator[](std::size_t i) {
     HAL_DASSERT(i < size_);
@@ -67,6 +73,13 @@ class RingDeque {
     T value = std::move(slots_[head_]);
     pop_front();
     return value;
+  }
+
+  /// Move the back element out and drop it.
+  T take_back() {
+    HAL_DASSERT(size_ > 0);
+    --size_;
+    return std::move(slots_[(head_ + size_) & mask_]);
   }
 
   /// Remove the i-th element, preserving the order of the rest. Shifts the

@@ -1,11 +1,11 @@
 // Structured run results: the one thing a Halcyon run hands back.
 //
-// RunReport replaces the makespan()/total_stats() accessor pair with a
-// single value object carrying everything the paper's evaluation tables
-// need: machine kind, node count, makespan, per-node and aggregate event
-// counters, and per-probe latency histograms. to_json() is deterministic —
-// fixed key order, integers only — so two SimMachine runs of the same seed
-// serialize byte-identically and BENCH_*.json files diff cleanly across PRs.
+// RunReport is the single value object carrying everything the paper's
+// evaluation tables need: machine kind, node count, makespan, per-node and
+// aggregate event counters, and per-probe latency histograms. to_json() is
+// deterministic — fixed key order, integers only — so two SimMachine runs of
+// the same seed serialize byte-identically and BENCH_*.json files diff
+// cleanly across PRs.
 #pragma once
 
 #include <array>

@@ -8,9 +8,31 @@
 // to dispatch) and a broadcast *quantum* (§6.4) — all local members of a
 // group processing the same broadcast message consecutively, TAM-style.
 //
-// The ready structure is a growable power-of-two ring of 40-byte items:
-// the broadcast message of a kQuantum item lives in a small side pool and
-// the item carries only its SlotId, so scheduling an actor never copies a
+// Ordering contract. The paper's compiled code runs a local send to a fresh
+// actor depth-first on the sender's stack (§6.3); the dispatcher gives the
+// same work-first order, so a fork tree expands depth-first instead of
+// queueing its whole frontier:
+//  - Newest-first: an actor that goes from idle to ready because the item
+//    now executing on this node sent it a message — from a method, a join
+//    body the item fires, or a broadcast quantum — goes on the newest end
+//    and is taken next.
+//  - FIFO: every other ready item keeps its place. That covers actors
+//    readied by a network arrival, a migration or a bootstrap injection, an
+//    actor re-queued with mail left after its mailbox burst, and every
+//    broadcast quantum. An actor already queued keeps its place when more
+//    mail arrives, and per-actor mailboxes stay FIFO.
+//  - Bound: after kNewestFirstBound consecutive newest-end takes, the next
+//    take comes from the oldest end, so no ready item waits forever behind
+//    a chain of local sends.
+//  - Thieves: steal_if gives away the oldest matching ready actor — for a
+//    divide-and-conquer tree, the one closest to the root (the owner runs
+//    its newest work, thieves take the oldest, as in Cilk).
+// The kernel only brackets each item it runs with begin_item()/end_item();
+// which end an item joins and which end next() serves are decided here.
+//
+// The ready structure is a growable power-of-two ring of small items: the
+// broadcast message of a kQuantum item lives in a small side pool and the
+// item carries only its SlotId, so scheduling an actor never copies a
 // Message and steady-state dispatch performs no heap allocation (the ring
 // stops growing at the run's high-water depth).
 #pragma once
@@ -27,9 +49,13 @@ namespace hal {
 
 class Dispatcher {
  public:
+  /// Consecutive newest-end takes before next() serves the oldest end once.
+  static constexpr std::uint32_t kNewestFirstBound = 1024;
+
   struct Item {
     enum class Kind : std::uint8_t { kActor, kQuantum };
     Kind kind = Kind::kActor;
+    bool newest_first = false;  // kActor readied by the executing item
     SlotId actor{};  // kActor
     GroupId group{};  // kQuantum
     SlotId qmsg{};   // kQuantum: side-pool slot of the broadcast being delivered
@@ -37,19 +63,36 @@ class Dispatcher {
 
   void schedule_actor(SlotId actor) {
     affinity_.assert_here();
-    ready_.push_back(Item{Item::Kind::kActor, actor, {}, {}});
+    ready_.push_back(Item{Item::Kind::kActor, executing_, actor, {}, {}});
   }
 
   void schedule_quantum(GroupId group, Message m) {
     affinity_.assert_here();
     const SlotId qmsg = quantum_msgs_.allocate(std::move(m));
-    ready_.push_back(Item{Item::Kind::kQuantum, {}, group, qmsg});
+    ready_.push_back(Item{Item::Kind::kQuantum, false, {}, group, qmsg});
   }
 
   [[nodiscard]] std::optional<Item> next() {
     affinity_.assert_here();
     if (ready_.empty()) return std::nullopt;
+    if (ready_.back().newest_first && newest_streak_ < kNewestFirstBound) {
+      ++newest_streak_;
+      return ready_.take_back();
+    }
+    newest_streak_ = 0;
     return ready_.take_front();
+  }
+
+  /// Bracket the item the kernel runs: actors scheduled in between were
+  /// readied by its sends. The kernel re-queues a burst's leftover mail
+  /// after end_item(), so that item keeps FIFO order.
+  void begin_item() {
+    affinity_.assert_here();
+    executing_ = true;
+  }
+  void end_item() {
+    affinity_.assert_here();
+    executing_ = false;
   }
 
   /// Claim the broadcast message of a kQuantum item (frees its pool slot).
@@ -113,6 +156,8 @@ class Dispatcher {
   check::NodeAffinityGuard affinity_;
   RingDeque<Item> ready_ HAL_GUARDED_BY(affinity_);
   SlotPool<Message> quantum_msgs_ HAL_GUARDED_BY(affinity_);
+  bool executing_ HAL_GUARDED_BY(affinity_) = false;
+  std::uint32_t newest_streak_ HAL_GUARDED_BY(affinity_) = 0;
 };
 
 }  // namespace hal

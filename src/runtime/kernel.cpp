@@ -141,6 +141,7 @@ bool Kernel::step() {
     // the per-message dispatcher push/pop and the shared work-hint RMWs
     // collapse to one pair per burst. The cap keeps other actors' latency
     // bounded — same fairness shape as the frame size cap on the wire.
+    dispatcher_.begin_item();
     for (std::uint32_t n = 0; n < kMailboxBurst; ++n) {
       Message m = std::move(rec->mailbox.front());
       rec->mailbox.pop_front();
@@ -155,12 +156,15 @@ bool Kernel::step() {
       rec = actors_.try_get(item->actor);
       if (rec == nullptr || !rec->scheduled || rec->mailbox.empty()) break;
     }
+    dispatcher_.end_item();
     if (rec != nullptr && rec->scheduled) {
       rec->scheduled = false;
       if (rec->has_mail()) schedule(item->actor);
     }
   } else {
+    dispatcher_.begin_item();
     run_quantum(item->group, dispatcher_.take_message(*item));
+    dispatcher_.end_item();
   }
   machine_.work_hint_add(-1);
   return true;

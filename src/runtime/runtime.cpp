@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "am/machine_factory.hpp"
-#include "am/sim_machine.hpp"  // makespan_impl downcast (kSim only)
+#include "am/sim_machine.hpp"  // report()'s makespan downcast (kSim only)
 
 namespace hal {
 
@@ -71,46 +71,15 @@ void Runtime::run() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-SimTime Runtime::makespan_impl() const {
-  if (config_.machine == MachineKind::kSim) {
-    return static_cast<const am::SimMachine&>(*machine_).makespan();
-  }
-  return wall_ns_;
-}
-
-StatBlock Runtime::total_stats_impl() const {
-  StatBlock total;
-  for (const auto& k : kernels_) total += k->stats();
-  // Machine-side counters (link endpoints, wire aggregators) fold in here
-  // too, keeping this legacy accessor consistent with report().
-  for (NodeId n = 0; n < config_.nodes; ++n) {
-    if (const am::LinkStats* ls = machine_->link_stats(n)) {
-      total.bump(Stat::kLinkDropsInjected, ls->drops_injected);
-      total.bump(Stat::kLinkDuplicatesInjected, ls->duplicates_injected);
-      total.bump(Stat::kLinkDelaysInjected, ls->delays_injected);
-      total.bump(Stat::kLinkRetransmits, ls->retransmits);
-      total.bump(Stat::kLinkDupesSuppressed, ls->dupes_suppressed);
-      total.bump(Stat::kLinkAcksSent, ls->acks_sent);
-    }
-    if (const am::WireStats* ws = machine_->wire_stats(n)) {
-      total.bump(Stat::kWireFramesSent, ws->frames_sent);
-      total.bump(Stat::kWireMsgsCoalesced, ws->msgs_coalesced);
-      total.bump(Stat::kWireFlushFill, ws->flush_fill);
-      total.bump(Stat::kWireFlushTimer, ws->flush_timer);
-      total.bump(Stat::kWireFlushIdle, ws->flush_idle);
-      total.bump(Stat::kWireFlushBarrier, ws->flush_barrier);
-    }
-  }
-  return total;
-}
-
 obs::RunReport Runtime::report() {
   obs::RunReport r;
   r.machine = std::string(to_string(config_.machine));
   r.nodes = config_.nodes;
   r.workers = machine_->worker_count();
   r.seed = config_.seed;
-  r.makespan_ns = makespan_impl();
+  r.makespan_ns = config_.machine == MachineKind::kSim
+                      ? static_cast<const am::SimMachine&>(*machine_).makespan()
+                      : wall_ns_;
   r.dead_letters = dead_letters();
   for (const auto& k : kernels_) {
     for (std::size_t c = 0; c < r.dead_letter_causes.size(); ++c) {

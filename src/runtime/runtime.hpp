@@ -119,18 +119,6 @@ class Runtime {
   /// on the counts. After a clean run to quiescence both counts are zero.
   DrainStats shutdown_drain();
 
-  /// \deprecated Use report().makespan_ns.
-  [[deprecated("use Runtime::report().makespan_ns")]] SimTime makespan()
-      const {
-    return makespan_impl();
-  }
-
-  /// \deprecated Use report().total (or report().per_node for one node).
-  [[deprecated("use Runtime::report().total")]] StatBlock total_stats()
-      const {
-    return total_stats_impl();
-  }
-
   std::uint64_t dead_letters() const;
 
   /// Console output collected by the front-end, ordered by virtual emission
@@ -182,9 +170,6 @@ class Runtime {
   }
 
  private:
-  SimTime makespan_impl() const;
-  StatBlock total_stats_impl() const;
-
   RuntimeConfig config_;
   BehaviorRegistry registry_;
   /// hal::check: process-wide payload-buffer ledger (empty shell when the

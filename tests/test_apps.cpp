@@ -4,6 +4,9 @@
 // variants and mappings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "apps/cholesky.hpp"
 #include "apps/fib.hpp"
 #include "apps/matmul.hpp"
@@ -13,6 +16,11 @@
 namespace hal::apps {
 namespace {
 
+// gtest names each case of a sweep after the raw bytes of its parameter, so
+// every case struct spells its padding out as zeroed members; the
+// static_asserts prove no implicit padding is left. Stray padding bytes
+// would otherwise rename the tests from one build to the next.
+
 // --- Fibonacci ---------------------------------------------------------------------
 
 struct FibCase {
@@ -21,7 +29,9 @@ struct FibCase {
   NodeId nodes;
   bool lb;
   MachineKind machine;
+  std::uint8_t pad[2] = {};
 };
+static_assert(std::has_unique_object_representations_v<FibCase>);
 
 class FibCorrectness : public ::testing::TestWithParam<FibCase> {};
 
@@ -81,10 +91,13 @@ TEST(FibScaling, DeterministicAcrossRuns) {
 struct CholCase {
   CholVariant variant;
   ColMapping mapping;
+  std::uint8_t pad0[6] = {};
   std::size_t n;
   NodeId nodes;
   MachineKind machine;
+  std::uint8_t pad1[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<CholCase>);
 
 class CholeskyCorrectness : public ::testing::TestWithParam<CholCase> {};
 
@@ -104,22 +117,30 @@ TEST_P(CholeskyCorrectness, MatchesSequentialFactorization) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CholeskyCorrectness,
     ::testing::Values(
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kBlock, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kGlobalSeq, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kGlobalBcast, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 32, 1,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 40, 8,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 32, 4,
-                 MachineKind::kThread},
-        CholCase{CholVariant::kGlobalBcast, ColMapping::kBlock, 32, 4,
-                 MachineKind::kThread}));
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48, .nodes = 4, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kBlock,
+                 .n = 48, .nodes = 4, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kGlobalSeq,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48, .nodes = 4, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kGlobalBcast,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48, .nodes = 4, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 32, .nodes = 1, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 40, .nodes = 8, .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 32, .nodes = 4, .machine = MachineKind::kThread},
+        CholCase{.variant = CholVariant::kGlobalBcast,
+                 .mapping = ColMapping::kBlock,
+                 .n = 32, .nodes = 4, .machine = MachineKind::kThread}));
 
 TEST(CholeskyShape, LocalSyncBeatsGlobalSync) {
   // The Table 1 headline: pipelined local synchronization outperforms the
@@ -166,7 +187,9 @@ struct MatmulCase {
   std::size_t n;
   std::uint32_t grid;
   MachineKind machine;
+  std::uint8_t pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<MatmulCase>);
 
 class MatmulCorrectness : public ::testing::TestWithParam<MatmulCase> {};
 
@@ -200,7 +223,9 @@ struct PrCase {
   std::uint32_t rounds;
   std::uint32_t rebalance_after;
   MachineKind machine;
+  std::uint8_t pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<PrCase>);
 
 class PageRankCorrectness : public ::testing::TestWithParam<PrCase> {};
 

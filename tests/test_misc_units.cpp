@@ -59,6 +59,81 @@ TEST(Dispatcher, StealOnEmptyOrNoMatch) {
   EXPECT_EQ(d.size(), 1u);
 }
 
+TEST(Dispatcher, ActorsReadiedInsideAnItemRunNewestFirst) {
+  Dispatcher d;
+  d.schedule_actor(SlotId{1, 1});
+  d.schedule_actor(SlotId{2, 1});
+  ASSERT_EQ(d.next()->actor.index, 1u);
+  // Item 1 sends to two idle actors: the last one readied runs next, then
+  // the other, and only then the item that was queued before them.
+  d.begin_item();
+  d.schedule_actor(SlotId{3, 1});
+  d.schedule_actor(SlotId{4, 1});
+  d.end_item();
+  EXPECT_EQ(d.next()->actor.index, 4u);
+  EXPECT_EQ(d.next()->actor.index, 3u);
+  EXPECT_EQ(d.next()->actor.index, 2u);
+  EXPECT_FALSE(d.next().has_value());
+}
+
+TEST(Dispatcher, QuantaAndActorsReadiedOutsideAnItemStayFifo) {
+  Dispatcher d;
+  d.schedule_actor(SlotId{1, 1});
+  ASSERT_EQ(d.next()->actor.index, 1u);
+  d.begin_item();
+  d.schedule_actor(SlotId{2, 1});  // a send from item 1: newest-first
+  Message m;
+  m.selector = 9;
+  d.schedule_quantum(GroupId{0, 1}, std::move(m));  // quanta never are
+  d.end_item();
+  d.schedule_actor(SlotId{3, 1});  // e.g. a burst re-queue or an arrival
+  // The newest end holds a FIFO item, so the oldest is served: the
+  // newest-first actor has been passed by, and keeps its place.
+  EXPECT_EQ(d.next()->actor.index, 2u);
+  auto q = d.next();
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->kind, Dispatcher::Item::Kind::kQuantum);
+  EXPECT_EQ(d.take_message(*q).selector, 9u);
+  EXPECT_EQ(d.next()->actor.index, 3u);
+  EXPECT_FALSE(d.next().has_value());
+}
+
+TEST(Dispatcher, BoundServesTheOldestEndAfterNewestFirstStreak) {
+  Dispatcher d;
+  d.schedule_actor(SlotId{0, 1});  // the item a send chain would starve
+  // A chain of local sends: every item readies one fresh actor.
+  d.begin_item();
+  d.schedule_actor(SlotId{1, 1});
+  d.end_item();
+  for (std::uint32_t i = 1; i <= Dispatcher::kNewestFirstBound; ++i) {
+    auto item = d.next();
+    ASSERT_TRUE(item.has_value());
+    ASSERT_EQ(item->actor.index, i);
+    d.begin_item();
+    d.schedule_actor(SlotId{i + 1, 1});
+    d.end_item();
+  }
+  // K newest-end takes in a row: the next take is the oldest item.
+  EXPECT_EQ(d.next()->actor.index, 0u);
+  // The streak restarts: the chain continues newest-first.
+  EXPECT_EQ(d.next()->actor.index, Dispatcher::kNewestFirstBound + 1);
+  EXPECT_FALSE(d.next().has_value());
+}
+
+TEST(Dispatcher, StealTakesTheOldestEvenWhenNewestFirstItemsAreQueued) {
+  Dispatcher d;
+  d.schedule_actor(SlotId{1, 1});
+  d.begin_item();
+  d.schedule_actor(SlotId{2, 1});
+  d.schedule_actor(SlotId{3, 1});
+  d.end_item();
+  // The owner runs its newest work; a thief takes the oldest.
+  EXPECT_EQ(d.steal_if([](SlotId) { return true; })->index, 1u);
+  EXPECT_EQ(d.steal_if([](SlotId s) { return s.index != 2; })->index, 3u);
+  EXPECT_EQ(d.next()->actor.index, 2u);
+  EXPECT_FALSE(d.next().has_value());
+}
+
 // --- BehaviorRegistry ---------------------------------------------------------------
 
 class RegA : public ActorBase {

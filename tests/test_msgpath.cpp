@@ -261,6 +261,28 @@ TEST(RingDequeTest, IndexedAccessFollowsTheHead) {
   }
 }
 
+TEST(RingDequeTest, TakeBackAcrossGrowthAndWraparound) {
+  RingDeque<int> q;
+  // Rotate the head so the live region wraps, then grow while wrapped; the
+  // back end must stay the last pushed element through both.
+  for (int i = 0; i < 8; ++i) q.push_back(i);
+  for (int i = 0; i < 6; ++i) q.pop_front();
+  for (int i = 8; i < 14; ++i) q.push_back(i);  // wraps: slots 6,7,0..5
+  ASSERT_EQ(q.capacity(), 8u);
+  EXPECT_EQ(q.back(), 13);
+  EXPECT_EQ(q.take_back(), 13);
+  EXPECT_EQ(q.take_back(), 12);
+  for (int i = 14; i < 30; ++i) q.push_back(i);  // grows from a wrapped ring
+  EXPECT_GT(q.capacity(), 8u);
+  for (int i = 29; i >= 14; --i) ASSERT_EQ(q.take_back(), i);
+  // Front and back both drain what is left, in their own orders.
+  EXPECT_EQ(q.take_front(), 6);
+  EXPECT_EQ(q.take_back(), 11);
+  const int expect[] = {7, 8, 9, 10};
+  ASSERT_EQ(q.size(), 4u);
+  for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i], expect[i]);
+}
+
 TEST(RingDequeTest, EraseAtPreservesOrderOnBothSides) {
   RingDeque<int> q;
   for (int i = 0; i < 10; ++i) q.push_back(i);

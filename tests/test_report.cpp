@@ -1,6 +1,5 @@
 // Tests for the observability layer: Log2Histogram quantiles, RunReport
-// aggregation and JSON determinism, the deprecated-accessor equivalence, and
-// RuntimeConfig validation.
+// aggregation and JSON determinism, and RuntimeConfig validation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -201,27 +200,6 @@ TEST(RunReport, ThreadMachineReportsWallTimeAndProbes) {
   EXPECT_GE(r.probes.populated(), 5u);
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"machine\":\"thread\""), std::string::npos);
-}
-
-TEST(RunReport, DeprecatedAccessorsMatchReport) {
-  RuntimeConfig cfg;
-  cfg.nodes = 2;
-  Runtime rt(cfg);
-  rt.load<Wanderer>();
-  rt.load<Pinger>();
-  const MailAddress w = rt.spawn<Wanderer>(1);
-  rt.inject<&Pinger::on_go>(rt.spawn<Pinger>(0), w, std::int64_t{8});
-  rt.run();
-  const obs::RunReport r = rt.report();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(rt.makespan(), r.makespan_ns);
-  const StatBlock legacy = rt.total_stats();
-#pragma GCC diagnostic pop
-  for (std::size_t s = 0; s < static_cast<std::size_t>(Stat::kCount); ++s) {
-    EXPECT_EQ(legacy.get(static_cast<Stat>(s)),
-              r.total.get(static_cast<Stat>(s)));
-  }
 }
 
 // --- RuntimeConfig validation ---------------------------------------------------

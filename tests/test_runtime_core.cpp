@@ -5,6 +5,7 @@
 // real threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,79 @@ class Probe : public ActorBase {
   static std::int64_t last_seen;
 };
 std::int64_t Probe::last_seen = -1;
+
+/// Dispatch-order probes. They run on one SimMachine node, so the static
+/// counters are written by one thread.
+class Relay : public ActorBase {
+ public:
+  void on_hop(Context& ctx, MailAddress peer, std::int64_t remaining) {
+    ++hops;
+    if (remaining > 0) {
+      ctx.send<&Relay::on_hop>(peer, ctx.self(), remaining - 1);
+    }
+  }
+  HAL_BEHAVIOR(Relay, &Relay::on_hop)
+  static std::int64_t hops;
+};
+std::int64_t Relay::hops = 0;
+
+class RelayStarter : public ActorBase {
+ public:
+  void on_start(Context& ctx, std::int64_t hops) {
+    const MailAddress a = ctx.create<Relay>();
+    const MailAddress b = ctx.create<Relay>();
+    ctx.send<&Relay::on_hop>(a, b, hops);
+  }
+  HAL_BEHAVIOR(RelayStarter, &RelayStarter::on_start)
+};
+
+class Bystander : public ActorBase {
+ public:
+  void on_poke(Context&) { hops_before_poke = Relay::hops; }
+  HAL_BEHAVIOR(Bystander, &Bystander::on_poke)
+  static std::int64_t hops_before_poke;
+};
+std::int64_t Bystander::hops_before_poke = -1;
+
+/// fib with an actor per call that records the most live actors any call
+/// saw on its node.
+class PeakFib : public ActorBase {
+ public:
+  void on_compute(Context& ctx, std::uint64_t n, ContRef reply) {
+    peak_live = std::max(peak_live, ctx.kernel().live_actors());
+    if (n < 2) {
+      ctx.reply_to(reply, n);
+      ctx.terminate();
+      return;
+    }
+    const ContRef join =
+        ctx.make_join(2, [reply](Context& jc, const JoinView& v) {
+          jc.kernel().reply_to(reply, v.word(0) + v.word(1));
+        });
+    const MailAddress left = ctx.create<PeakFib>();
+    const MailAddress right = ctx.create<PeakFib>();
+    ctx.send<&PeakFib::on_compute>(left, n - 1, join.at(0));
+    ctx.send<&PeakFib::on_compute>(right, n - 2, join.at(1));
+    ctx.terminate();
+  }
+  HAL_BEHAVIOR(PeakFib, &PeakFib::on_compute)
+  static std::size_t peak_live;
+};
+std::size_t PeakFib::peak_live = 0;
+
+class PeakFibRoot : public ActorBase {
+ public:
+  void on_start(Context& ctx, std::uint64_t n) {
+    const ContRef join =
+        ctx.make_join(1, [self = ctx.self()](Context& jc, const JoinView& v) {
+          jc.send<&PeakFibRoot::on_done>(self, v.word(0));
+        });
+    ctx.send<&PeakFib::on_compute>(ctx.create<PeakFib>(), n, join.at(0));
+  }
+  void on_done(Context&, std::uint64_t value) { result = value; }
+  HAL_BEHAVIOR(PeakFibRoot, &PeakFibRoot::on_start, &PeakFibRoot::on_done)
+  std::uint64_t result = 0;
+};
 
 // --- Fixture ------------------------------------------------------------------------
 
@@ -302,6 +376,58 @@ TEST_P(RuntimeCore, ManyActorsManyMessages) {
     ASSERT_NE(obj, nullptr);
     EXPECT_EQ(obj->value(), 10);
   }
+  EXPECT_EQ(rt.dead_letters(), 0u);
+}
+
+// --- Dispatch order (SimMachine) ---------------------------------------------------
+
+RuntimeConfig one_sim_node() {
+  RuntimeConfig c;
+  c.nodes = 1;
+  c.machine = MachineKind::kSim;
+  return c;
+}
+
+TEST(DispatchOrder, LocalSendChainCannotStarveAnEarlierMessage) {
+  // Two actors a running method created bounce 100k local sends, each
+  // readying the other newest-first. The bystander's message was queued
+  // before the chain began; the fairness bound must serve it within
+  // kNewestFirstBound + 1 dispatches, not after the whole chain.
+  Relay::hops = 0;
+  Bystander::hops_before_poke = -1;
+  Runtime rt(one_sim_node());
+  rt.load<Relay>();
+  rt.load<RelayStarter>();
+  rt.load<Bystander>();
+  const MailAddress starter = rt.spawn<RelayStarter>(0);
+  const MailAddress bystander = rt.spawn<Bystander>(0);
+  rt.inject<&RelayStarter::on_start>(starter, std::int64_t{100000});
+  rt.inject<&Bystander::on_poke>(bystander);
+  rt.run();
+  EXPECT_EQ(Relay::hops, 100001);
+  ASSERT_GE(Bystander::hops_before_poke, 0);
+  EXPECT_LE(Bystander::hops_before_poke,
+            std::int64_t{Dispatcher::kNewestFirstBound} + 1);
+  EXPECT_EQ(rt.dead_letters(), 0u);
+}
+
+TEST(DispatchOrder, ForkTreeExpandsDepthFirst) {
+  // A breadth-first order holds the tree's whole frontier as live actors
+  // (5490 for fib(20)); depth-first holds about one pending sibling per
+  // level of the current path, plus the paths the bound's oldest-end takes
+  // opened.
+  constexpr std::uint64_t kN = 20;
+  PeakFib::peak_live = 0;
+  Runtime rt(one_sim_node());
+  rt.load<PeakFib>();
+  rt.load<PeakFibRoot>();
+  const MailAddress root = rt.spawn<PeakFibRoot>(0);
+  rt.inject<&PeakFibRoot::on_start>(root, kN);
+  rt.run();
+  const PeakFibRoot* r = rt.find_behavior<PeakFibRoot>(root);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->result, 6765u);
+  EXPECT_LE(PeakFib::peak_live, 2 * kN);
   EXPECT_EQ(rt.dead_letters(), 0u);
 }
 
