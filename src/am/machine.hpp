@@ -156,7 +156,8 @@ class Machine {
   // with a separate termination detector): the total number of dispatcher
   // items queued or executing across all nodes. Idle nodes keep polling only
   // while this is positive, which keeps an idle machine quiescent without
-  // giving up continuous polling during computation.
+  // giving up continuous polling during computation. The kernel counts items
+  // only when the balancer is on; otherwise the hint stays 0.
   void work_hint_add(std::int64_t delta) noexcept {
     const std::int64_t prev =
         work_hint_.fetch_add(delta, std::memory_order_acq_rel);

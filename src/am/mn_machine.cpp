@@ -1,9 +1,14 @@
 #include "am/mn_machine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "check/affinity.hpp"
 
@@ -23,11 +28,24 @@ std::uint32_t clamp_workers(std::uint32_t requested, NodeId nodes) {
   return w == 0 ? 1 : w;
 }
 
+/// Spin-wait hint between two search attempts: a few PAUSEs on x86-64
+/// (they also yield the core's pipeline to an SMT sibling), a yield
+/// elsewhere — the same portable-fallback shape as FastClock.
+void search_pause() noexcept {
+#if defined(__x86_64__)
+  constexpr int kPauses = 8;
+  for (int i = 0; i < kPauses; ++i) _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
 }  // namespace
 
 MnMachine::MnMachine(NodeId nodes, CostModel costs, std::uint32_t workers)
     : Machine(nodes, costs),
       workers_n_(clamp_workers(workers, nodes)),
+      max_searchers_(std::max<std::uint32_t>(1, workers_n_ / 2)),
       slots_(nodes),
       exec_(*this, /*participants=*/clamp_workers(workers, nodes),
             /*mailboxes=*/true),
@@ -160,11 +178,15 @@ void MnMachine::wake_worker(WorkerRec& rec) noexcept {
 void MnMachine::maybe_wake_thief() noexcept {
   // Advisory only: a parked worker is roused to come steal. Correctness
   // never depends on this wake — a token in our own deque is consumed by us
-  // if nobody steals it — so a missed flag read costs throughput, nothing
-  // else.
+  // if nobody steals it — so a missed counter or flag read costs
+  // throughput, nothing else. A searcher is already polling every deque.
+  if (searchers_.load(std::memory_order_relaxed) != 0) return;
   if (sleepers_.load(std::memory_order_relaxed) == 0) return;
   for (auto& rec : workers_) {
-    if (rec->sleeping.armed_hint()) {
+    // claim_wake is wake_worker's exchange: exactly one sender takes the
+    // armed flag per park, and whoever takes it must notify (the sleeper's
+    // predicate sees the bumped generation under the mutex).
+    if (rec->sleeping.armed_hint() && rec->sleeping.claim_wake()) {
       {
         std::lock_guard lock(rec->mutex);
         ++rec->wake_gen;
@@ -176,7 +198,8 @@ void MnMachine::maybe_wake_thief() noexcept {
 }
 
 void MnMachine::wake_hook() noexcept {
-  // The global run state changed (stop, or the work hint went positive).
+  // The global run state changed (stop, or the balancer's work hint went
+  // positive — the kernel keeps that hint only when balancing is on).
   // Bump the wake epoch so idle nodes re-run on_idle (the balancer re-poll
   // ThreadMachine gets by waking every node thread), then wake every worker.
   wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -217,6 +240,32 @@ MnMachine::NodeSlot* MnMachine::next_runnable(WorkerRec& rec) {
     }
   }
   return nullptr;
+}
+
+MnMachine::NodeSlot* MnMachine::search(WorkerRec& rec) {
+  if (workers_n_ < 2) return nullptr;  // nobody to steal from
+  std::uint32_t n = searchers_.load(std::memory_order_relaxed);
+  do {
+    if (n >= max_searchers_) return nullptr;
+  } while (!searchers_.compare_exchange_weak(n, n + 1,
+                                             std::memory_order_relaxed));
+  // Still active in the detector's eyes, so termination waits for this
+  // window to close; the window is clock-bounded, so it always does.
+  const SimTime until = clock_.now_ns() + kSearchNs;
+  NodeSlot* found = nullptr;
+  while (!stop_requested() &&
+         wake_epoch_.load(std::memory_order_acquire) == rec.sweep_epoch) {
+    search_pause();
+    found = next_runnable(rec);
+    if (found != nullptr || clock_.now_ns() >= until) break;
+  }
+  // The last searcher to leave with a token wakes one sleeper: nobody else
+  // is polling, and work that just fanned out may need another thief.
+  if (searchers_.fetch_sub(1, std::memory_order_relaxed) == 1 &&
+      found != nullptr) {
+    maybe_wake_thief();
+  }
+  return found;
 }
 
 void MnMachine::run_node(NodeSlot& s) {
@@ -389,7 +438,9 @@ void MnMachine::worker_loop(std::uint32_t w) {
       rec.sweep_epoch = epoch;
       sweep_home_nodes(rec);
     }
-    if (NodeSlot* s = next_runnable(rec)) {
+    NodeSlot* s = next_runnable(rec);
+    if (s == nullptr) s = search(rec);
+    if (s != nullptr) {
       run_node(*s);
       continue;
     }

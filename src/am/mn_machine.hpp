@@ -32,6 +32,12 @@
 //     would otherwise deactivate instead stays *active* and parks with that
 //     deadline, mirroring ThreadMachine's rule that pending wire work must
 //     keep the machine non-quiescent (loss cannot fake termination).
+//   * A worker that runs out of tokens first *searches* (re-polls its
+//     queues and steals for up to kSearchNs, still active) before it takes
+//     the idle transition and parks. While anyone searches, a sender wakes
+//     nobody; otherwise it wakes one parked worker, claiming the sleeper's
+//     flag so each park costs at most one thief notify (the CAF/Go/Tokio
+//     spin-then-park shape).
 //
 // Selection: RuntimeConfig{.machine = MachineKind::kMn, .mn_workers = N}
 // through make_machine, or HAL_MACHINE=mn / HAL_MN_WORKERS=N in the bench
@@ -65,8 +71,8 @@ class MnMachine final : public Machine, private LinkSink {
   // machine itself lives in RunTokenCell (am/run_token.hpp, protocol
   // `run_tokens`) and the park flag in ParkHandshake (am/park_handshake.hpp,
   // protocol `park_handshake`); what remains here is the scheduler fabric:
-  // wake_epoch_ publishes seq_cst / reads acquire, and the steal/sleeper
-  // diagnostics are advisory relaxed counters.
+  // wake_epoch_ publishes seq_cst / reads acquire, and the steal, sleeper
+  // and searcher counts are advisory relaxed counters.
   HAL_MEMORY_PROTOCOL("mn_scheduler");
 
  public:
@@ -93,6 +99,11 @@ class MnMachine final : public Machine, private LinkSink {
   /// Run tokens taken from another worker's deque (scheduling diagnostics).
   std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
+  }
+  /// Wake epochs bumped by wake_hook: one per stop() and per 0→1 edge of
+  /// the balancer's work hint (scheduling diagnostics).
+  std::uint64_t wake_epoch() const noexcept {
+    return wake_epoch_.load(std::memory_order_relaxed);
   }
 
  protected:
@@ -152,10 +163,14 @@ class MnMachine final : public Machine, private LinkSink {
   void enqueue(NodeSlot& slot);
   /// Next token for worker `rec`: inject queue, own deque, then stealing.
   NodeSlot* next_runnable(WorkerRec& rec);
+  /// Re-run next_runnable with a short pause between attempts, for up to
+  /// kSearchNs, while fewer than max_searchers_ workers search. Gives up
+  /// early on stop or a new wake epoch; nullptr means take the idle path.
+  NodeSlot* search(WorkerRec& rec);
   void post_and_schedule(Packet p);
   void wake_worker(WorkerRec& rec) noexcept;
-  /// Best-effort: rouse one parked worker to come steal (pure throughput —
-  /// correctness never depends on a thief wake).
+  /// Best-effort: rouse one parked worker to come steal, unless a searcher
+  /// will (pure throughput — correctness never depends on a thief wake).
   void maybe_wake_thief() noexcept;
   /// Schedule every home node of `rec` that should re-observe global state:
   /// all of them on the priming pass, idle ones on later wake epochs.
@@ -178,6 +193,9 @@ class MnMachine final : public Machine, private LinkSink {
   void link_deliver(Packet p) override;
 
   std::uint32_t workers_n_;
+  // At most half the pool (at least one worker) searches at once, so an
+  // oversubscribed pool leaves cores to the workers that hold tokens.
+  std::uint32_t max_searchers_;
   std::vector<NodeSlot> slots_;
   std::vector<std::unique_ptr<WorkerRec>> workers_;
   NodeExecutor exec_;  // mailboxes, epochs, demux (shared node-stepping core)
@@ -192,7 +210,8 @@ class MnMachine final : public Machine, private LinkSink {
   // analogue of ThreadMachine waking every node thread).
   std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint32_t> sleepers_{0};  // gate for maybe_wake_thief
+  std::atomic<std::uint32_t> sleepers_{0};   // gate for maybe_wake_thief
+  std::atomic<std::uint32_t> searchers_{0};  // workers inside search()
   // Link retransmission deadlines of nodes with unacked masters. Guarded by
   // timers_mutex_; touched only off the message fast path (end of quantum
   // under faults, worker idle transitions).
@@ -209,6 +228,11 @@ class MnMachine final : public Machine, private LinkSink {
   // a flooded node cannot starve its worker's other nodes.
   static constexpr std::size_t kDrainQuantum = 64;
   static constexpr std::size_t kStepQuantum = 64;
+  // How long an out-of-work worker keeps searching before it parks: long
+  // enough to cover a cross-worker request/reply turnaround (a few µs), so
+  // a latency-bound run hands tokens over without a futex wake; short
+  // enough that an idle pool stops spinning almost at once.
+  static constexpr SimTime kSearchNs = 50'000;
 };
 
 }  // namespace hal::am

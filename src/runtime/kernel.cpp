@@ -129,7 +129,7 @@ bool Kernel::step() {
     if (rec == nullptr || rec->mailbox.empty()) {
       // Stolen or terminated while queued.
       if (rec != nullptr) rec->scheduled = false;
-      machine_.work_hint_add(-1);
+      balancer_hint_add(-1);
       return true;
     }
     // Mailbox burst: run up to kMailboxBurst queued messages while we hold
@@ -166,8 +166,16 @@ bool Kernel::step() {
     run_quantum(item->group, dispatcher_.take_message(*item));
     dispatcher_.end_item();
   }
-  machine_.work_hint_add(-1);
+  balancer_hint_add(-1);
   return true;
+}
+
+void Kernel::balancer_hint_add(std::int64_t delta) {
+  // The machine-wide work hint has one reader, the balancer (maybe_poll,
+  // poll_resume_at, and the executors re-running idle nodes' on_idle when
+  // the hint turns positive). Without it, keeping the count would cost a
+  // shared RMW per item and a wake_hook per 0→1 edge, for nothing.
+  if (config_.load_balancing) machine_.work_hint_add(delta);
 }
 
 bool Kernel::has_work() const { return !dispatcher_.empty(); }
@@ -335,13 +343,13 @@ void Kernel::schedule(SlotId actor_slot) {
   rec->scheduled = true;
   charge(costs().schedule_ns);
   dispatcher_.schedule_actor(actor_slot);
-  machine_.work_hint_add(1);
+  balancer_hint_add(1);
 }
 
 void Kernel::schedule_quantum(GroupId gid, Message m) {
   charge(costs().schedule_ns);
   dispatcher_.schedule_quantum(gid, std::move(m));
-  machine_.work_hint_add(1);
+  balancer_hint_add(1);
 }
 
 SlotId Kernel::locality_check(const MailAddress& addr) {

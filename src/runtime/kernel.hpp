@@ -304,6 +304,9 @@ class Kernel final : public am::NodeClient {
   void schedule(SlotId actor_slot);
   /// Enqueue a broadcast quantum for this node's group members.
   void schedule_quantum(GroupId gid, Message m);
+  /// Count dispatcher items in the machine's work hint — only when the
+  /// load balancer, its one reader, is on.
+  void balancer_hint_add(std::int64_t delta);
   /// Execute one message body: build a Context, dispatch, apply `become`.
   void execute_message(SlotId actor_slot, Message& m);
   /// Execute a broadcast quantum: all local group members process the same

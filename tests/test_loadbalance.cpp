@@ -146,5 +146,42 @@ INSTANTIATE_TEST_SUITE_P(Machines, LoadBalanceTest,
                                       : "Thread";
                          });
 
+// --- The work hint is the balancer's alone ----------------------------------
+
+/// Reads the machine-wide work hint from inside a running method.
+class HintReader : public ActorBase {
+ public:
+  void on_read(Context& ctx) { seen = ctx.kernel().machine().work_hint(); }
+  HAL_BEHAVIOR(HintReader, &HintReader::on_read)
+
+  std::int64_t seen = -1;
+};
+
+std::int64_t hint_inside_a_method(bool load_balancing) {
+  RuntimeConfig cfg;
+  cfg.nodes = 2;
+  cfg.load_balancing = load_balancing;
+  Runtime rt(cfg);
+  rt.load<HintReader>();
+  const MailAddress a = rt.spawn<HintReader>(1);
+  rt.inject<&HintReader::on_read>(a);
+  rt.run();
+  const HintReader* r = rt.find_behavior<HintReader>(a);
+  return r == nullptr ? -1 : r->seen;
+}
+
+TEST(WorkHint, StaysZeroWithoutABalancer) {
+  // Nobody reads the hint without the balancer, so the kernel keeps no
+  // count: no shared RMW per dispatcher item, and no 0→1 edge whose
+  // wake_hook rouses every worker of a wall-clock machine.
+  EXPECT_EQ(hint_inside_a_method(/*load_balancing=*/false), 0);
+}
+
+TEST(WorkHint, CountsTheExecutingItemWithABalancer) {
+  // With the balancer the executing item counts until it completes, so
+  // idle nodes keep polling while a long method is generating work.
+  EXPECT_GT(hint_inside_a_method(/*load_balancing=*/true), 0);
+}
+
 }  // namespace
 }  // namespace hal

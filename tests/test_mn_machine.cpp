@@ -187,6 +187,134 @@ TEST(MnMachineRuntime, FibUnderLossAtLargePStaysExact) {
   EXPECT_EQ(r.dead_letters, 0u);
 }
 
+// --- Runtime-level: balancer-free closed loop ---------------------------------
+
+// A scaled-down perfbench `rpc`: closed-loop clients, one roaming server,
+// no balancer. Latency-bound, so every reply crosses workers through the
+// search and claimed-wake paths the soak is meant to shake.
+constexpr std::uint32_t kLoopClients = 12;
+constexpr std::uint64_t kLoopRequests = 2000;
+constexpr std::uint64_t kLoopMigrateEvery = 500;
+constexpr NodeId kLoopServerNodes = 4;
+
+std::uint64_t loop_value(std::uint64_t client, std::uint64_t index) {
+  return client * 1'000'003 + index * 7 + 1;
+}
+std::uint64_t loop_reply(std::uint64_t value) { return 3 * value + 1; }
+
+/// Sums request values, replies 3v+1, and every kLoopMigrateEvery requests
+/// moves round-robin to the next of nodes 0..kLoopServerNodes-1.
+class LoopServer : public ActorBase {
+ public:
+  void on_req(Context& ctx, std::uint64_t v) {
+    total += v;
+    ++count;
+    ctx.reply(loop_reply(v));
+    if (count % kLoopMigrateEvery == 0) {
+      ++migrations;
+      ctx.migrate_to(static_cast<NodeId>((ctx.node() + 1) % kLoopServerNodes));
+    }
+  }
+  HAL_BEHAVIOR(LoopServer, &LoopServer::on_req)
+
+  bool migratable() const override { return true; }
+  void pack_state(ByteWriter& w) const override {
+    w.write(total);
+    w.write(count);
+    w.write(migrations);
+  }
+  void unpack_state(ByteReader& r) override {
+    total = r.read<std::uint64_t>();
+    count = r.read<std::uint64_t>();
+    migrations = r.read<std::uint64_t>();
+  }
+
+  std::uint64_t total = 0;
+  std::uint64_t count = 0;
+  std::uint64_t migrations = 0;
+};
+
+/// One request outstanding at a time: the reply's continuation checks the
+/// value and sends the next request.
+class LoopClient : public ActorBase {
+ public:
+  void on_start(Context& ctx, MailAddress server, std::uint64_t id) {
+    server_ = server;
+    id_ = id;
+    request_next(ctx);
+  }
+  HAL_BEHAVIOR(LoopClient, &LoopClient::on_start)
+
+  std::uint64_t replies = 0;
+  std::uint64_t bad = 0;
+
+ private:
+  void request_next(Context& ctx) {
+    const std::uint64_t v = loop_value(id_, replies);
+    ctx.request<&LoopServer::on_req>(
+        server_,
+        [this, v](Context& jc, const JoinView& r) {
+          if (r.word(0) != loop_reply(v)) ++bad;
+          if (++replies < kLoopRequests) request_next(jc);
+        },
+        v);
+  }
+
+  MailAddress server_;
+  std::uint64_t id_ = 0;
+};
+
+TEST(MnMachine, BalancerFreeClosedLoopStaysExactAndQuiet) {
+  RuntimeConfig cfg;
+  cfg.nodes = 16;
+  cfg.machine = MachineKind::kMn;
+  cfg.mn_workers = 4;
+  cfg.load_balancing = false;
+  Runtime rt(cfg);
+  rt.load<LoopServer>();
+  rt.load<LoopClient>();
+  const MailAddress server = rt.spawn<LoopServer>(0);
+  std::vector<MailAddress> clients;
+  for (std::uint32_t c = 0; c < kLoopClients; ++c) {
+    clients.push_back(
+        rt.spawn<LoopClient>(static_cast<NodeId>(kLoopServerNodes + c)));
+    rt.inject<&LoopClient::on_start>(clients.back(), server,
+                                     std::uint64_t{c});
+  }
+  rt.run();
+
+  std::uint64_t want_total = 0;
+  for (std::uint64_t c = 0; c < kLoopClients; ++c) {
+    for (std::uint64_t i = 0; i < kLoopRequests; ++i) {
+      want_total += loop_value(c, i);
+    }
+  }
+  const LoopServer* s = rt.find_behavior<LoopServer>(server);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->count, kLoopClients * kLoopRequests);
+  EXPECT_EQ(s->total, want_total);
+  EXPECT_EQ(s->migrations, kLoopClients * kLoopRequests / kLoopMigrateEvery);
+  for (const MailAddress& a : clients) {
+    const LoopClient* c = rt.find_behavior<LoopClient>(a);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->replies, kLoopRequests);
+    EXPECT_EQ(c->bad, 0u);
+  }
+  EXPECT_EQ(rt.dead_letters(), 0u);
+
+  // Without a balancer the work hint never leaves 0, so only stop() — once
+  // per worker that reaches the quiescent verdict, at most — may bump the
+  // wake epoch; no request edge rouses the whole pool.
+  auto* mn = dynamic_cast<am::MnMachine*>(&rt.machine());
+  ASSERT_NE(mn, nullptr);
+  EXPECT_EQ(rt.machine().work_hint(), 0);
+  EXPECT_LE(mn->wake_epoch(), std::uint64_t{mn->worker_count()});
+
+  const DrainStats drained = rt.shutdown_drain();
+  EXPECT_EQ(drained.messages, 0u);
+  EXPECT_EQ(drained.payloads, 0u);
+}
+
 TEST(MnMachineRuntime, ReportCarriesMachineKindAndWorkerCount) {
   RuntimeConfig cfg;
   cfg.nodes = 8;

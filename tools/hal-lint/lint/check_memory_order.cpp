@@ -175,11 +175,18 @@ const std::vector<Policy>& policies() {
        {}},
       // M:N scheduler fabric (the run-token and park protocols now live in
       // their extracted cells above): the wake epoch is a seq_cst bump read
-      // with acquire; sleeper/steal bookkeeping is relaxed-advisory.
+      // with acquire (relaxed only in its diagnostic accessor); sleeper,
+      // searcher and steal bookkeeping is relaxed-advisory — the searcher
+      // cap is a CAS against a relaxed count, and maybe_wake_thief may skip
+      // a wake on a stale read because the token's owner runs it anyway.
       {"mn_scheduler",
        "MnMachine",
        false,
        {
+           {"searchers_", "load", "search", {"relaxed"}},
+           {"searchers_", "compare_exchange_weak", "search", {"relaxed"}},
+           {"searchers_", "fetch_sub", "search", {"relaxed"}},
+           {"searchers_", "load", "maybe_wake_thief", {"relaxed"}},
            {"sleepers_", "fetch_add", "", {"relaxed"}},
            {"sleepers_", "fetch_sub", "", {"relaxed"}},
            {"sleepers_", "load", "maybe_wake_thief", {"relaxed"}},
@@ -187,11 +194,13 @@ const std::vector<Policy>& policies() {
            {"steals_", "load", "steals", {"relaxed"}},
            {"wake_epoch_", "fetch_add", "", {"seq_cst"}},
            {"wake_epoch_", "load", "", {"acquire", "seq_cst"}},
+           {"wake_epoch_", "load", "wake_epoch", {"relaxed"}},
        },
        {
            {"wake_hook", "wake_epoch_", "fetch_add", {"seq_cst"}},
        },
        {
+           {"searchers_", "maybe_wake_thief"},
            {"sleepers_", "maybe_wake_thief"},
        }},
       // FrameBuilder deadlines: plain fields, safety by execution-stream
