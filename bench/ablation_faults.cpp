@@ -156,7 +156,7 @@ int main() {
     if (loss == 0.05) {
       // Identical seed, identical schedule, identical fault pattern: the
       // whole structured report must reproduce byte-for-byte. Virtual time
-      // only — under HAL_MACHINE=thread|mn makespans are wall-clock.
+      // only — under HAL_MACHINE=mn makespans are wall-clock.
       if (p.machine == MachineKind::kSim) {
         const FibResult b = run_fib(p);
         HAL_ASSERT(a.value == b.value);

@@ -58,7 +58,7 @@ inline unsigned env_unsigned(const char* name, unsigned fallback) {
   return value;
 }
 
-/// Machine selection for every bench binary: HAL_MACHINE=sim|thread|mn
+/// Machine selection for every bench binary: HAL_MACHINE=sim|mn
 /// (parse_machine_kind's canonical names). Unknown values are rejected with
 /// a stderr warning and the benchmark's default machine is used — same
 /// contract as env_unsigned above.
@@ -68,7 +68,7 @@ inline MachineKind env_machine(MachineKind fallback) {
   if (const auto kind = parse_machine_kind(s)) return *kind;
   std::fprintf(stderr,
                "warning: ignoring unknown HAL_MACHINE='%s' (expected "
-               "sim|thread|mn); using default '%s'\n",
+               "sim|mn); using default '%s'\n",
                s, std::string(to_string(fallback)).c_str());
   return fallback;
 }
@@ -124,10 +124,6 @@ inline void header(const char* title, const char* paper_ref,
       case MachineKind::kSim:
         std::printf("machine: virtual-time simulator calibrated to a CM-5 "
                     "node\n");
-        break;
-      case MachineKind::kThread:
-        std::printf("machine: ThreadMachine, one host thread per node; "
-                    "wall-clock time\n");
         break;
       case MachineKind::kMn: {
         const std::uint32_t requested = env_mn_workers();

@@ -1,18 +1,18 @@
 // CAF-style mailbox storms: the wire-batching payoff measurement.
 //
 // Three storms borrowed from the actor-framework benchmark family, run on
-// ThreadMachine (real threads, real wall clock) with destination-coalesced
-// wire batching toggled per run:
+// MnMachine's default pool (min(host cores, nodes) real worker threads, real
+// wall clock) with destination-coalesced wire batching toggled per run:
 //
 //   mailbox    — one remote sender floods one receiver (1:1). The classic
 //                mailbox_performance shape: per-message enqueue + wake
 //                overhead dominates, which is exactly what frames amortize.
 //   n:1 storm  — every other node floods node 0's counter concurrently.
-//                The contended shape: P-1 sender threads hammer one
-//                mailbox; coalescing divides the lock/wake traffic by the
-//                frame occupancy. Results are checked exactly (the sum of
-//                all injected values), so batching must not reorder or
-//                drop anything it touches.
+//                The contended shape: P-1 senders on their own workers
+//                hammer one mailbox; coalescing divides the push/wake
+//                traffic by the frame occupancy. Results are checked
+//                exactly (the sum of all injected values), so batching
+//                must not reorder or drop anything it touches.
 //   ping+work  — latency-sensitive ping-pong next to a busy compute actor
 //                on each node. Sends here leave on the idle-transition
 //                flush (the pinger's node quiesces after each hop), so
@@ -120,7 +120,7 @@ StormOut run_storm(NodeId nodes, const am::BatchConfig& batching,
                    std::uint64_t msgs, SetupFn&& setup, CheckFn&& check) {
   RuntimeConfig cfg;
   cfg.nodes = nodes;
-  cfg.machine = MachineKind::kThread;
+  cfg.machine = MachineKind::kMn;  // default pool: mn_workers = 0
   cfg.batching = batching;
   Runtime rt(cfg);
   setup(rt);
@@ -239,10 +239,11 @@ StormOut best_of(Fn&& fn) {
 
 int main() {
   hal::bench::header(
-      "CAF-style mailbox storms (ThreadMachine, batching off vs on)",
+      "CAF-style mailbox storms (MnMachine, batching off vs on)",
       "destination-coalesced wire batching: per-message overhead amortized "
       "per frame",
-      "ThreadMachine, one host thread per node; wall-clock time");
+      "MnMachine, each storm's nodes on min(nodes, host cores) worker "
+      "threads (default pool); wall-clock time");
 
   const bool paper = hal::bench::paper_scale();
   const std::uint64_t flood_n = paper ? 2'000'000 : 200'000;

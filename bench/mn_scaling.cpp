@@ -2,8 +2,7 @@
 // for).
 //
 // Two workloads at HAL_MN_NODES nodes (default 4096 — thousands of nodes on
-// a handful of workers, far past ThreadMachine's one-thread-per-node
-// ceiling):
+// a handful of workers, far past what one OS thread per node could host):
 //   * fib        — fork/join traffic spread by receiver-initiated random
 //                  polling, so runnable nodes churn through the run queues
 //                  and the work-stealing path carries real load
@@ -172,8 +171,7 @@ int main() {
       "letters) — the pool size changes the schedule, never the result.\n"
       "N=1 is the degenerate point of receiver-initiated polling: the idle\n"
       "nodes' poll quanta serialize onto the one worker that also runs the\n"
-      "real work (on ThreadMachine those polls ran on 4095 other threads),\n"
-      "so the N=1 fib row measures the balancer storm, not fib.\n");
+      "real work, so the N=1 fib row measures the balancer storm, not fib.\n");
   report_json(widest, "mn_scaling");
   return 0;
 }

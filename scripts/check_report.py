@@ -161,7 +161,7 @@ def check(path, min_populated, allow_leaks, max_dead_letters):
             f"(this validator understands: {', '.join(sorted(KNOWN_SCHEMAS))}); "
             "refusing to validate fields whose meaning may have changed",
         )
-    if d["machine"] not in ("sim", "thread", "mn"):
+    if d["machine"] not in ("sim", "mn"):
         return fail(path, f"unknown machine '{d['machine']}'")
     if d["nodes"] < 1:
         return fail(path, f"nodes = {d['nodes']}")

@@ -4,11 +4,12 @@
 #   scripts/sanitize.sh thread   [ctest args...]   # TSan
 #   scripts/sanitize.sh address  [ctest args...]   # ASan + UBSan
 #
-# The concurrency stress tests (test_stress, plus the ThreadMachine halves
-# of the parameterized suites) are the reason this script exists: the
-# ThreadMachine's termination detector, wakeup handshake, and MPSC endpoint
-# queues are only trustworthy if this passes clean. CI runs both modes on
-# every PR; run `scripts/sanitize.sh thread --repeat until-fail:50 -R Stress`
+# The concurrency stress tests (test_stress, test_mn_machine, plus the
+# MnMachine halves of the parameterized suites) are the reason this script
+# exists: MnMachine's termination detector, wakeup handshake, run-token
+# deques and MPSC mailboxes are only trustworthy if this passes clean. CI
+# runs both modes on every PR; run
+#   scripts/sanitize.sh thread --repeat until-fail:50 -R 'Stress|MnMachine|Bulk|Fault'
 # to reproduce the 50-iteration race soak locally.
 set -euo pipefail
 

@@ -4,7 +4,7 @@
 // network interface supporting CMAM active messages. SimMachine charges these
 // costs so that the primitive-operation table (paper Table 2) and the
 // application scaling tables *emerge* from the same protocol code that runs
-// under the threaded machine. The cm5() calibration targets the two numbers
+// under the wall-clock machine. The cm5() calibration targets the two numbers
 // the paper states exactly — alias-based remote-creation initiation 5.83 µs
 // vs. 20.83 µs actual, locality check ≤ 1 µs — plus published CM-5 CMAM
 // figures (one-way latency a few µs, ~10 MB/s per-node bulk bandwidth).

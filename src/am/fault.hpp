@@ -7,7 +7,7 @@
 // whether each packet is dropped, duplicated, or delayed (delay on a FIFO
 // wire is what produces reordering). Under `SimMachine` the draws consume
 // the event-loop's deterministic schedule, so a given seed reproduces the
-// same fault pattern byte-for-byte; under `ThreadMachine` the same knobs
+// same fault pattern byte-for-byte; under `MnMachine` the same knobs
 // give a statistical soak (delay is scrubbed there — real queues already
 // reorder across nodes, and a wall-clock sleep would only slow the soak).
 //
@@ -48,12 +48,12 @@ struct FaultConfig {
 
   /// Seed for the injector's random streams. 0 means "derive from the
   /// runtime seed" (RuntimeConfig::seed); each source node then gets an
-  /// independent stream so Thread-machine draws need no locking.
+  /// independent stream so MnMachine draws need no locking.
   std::uint64_t seed = 0;
 
   /// Retransmission timeout. 0 picks a machine-appropriate default
   /// (a few round-trips of virtual time under Sim, ~2 ms wall under
-  /// Thread). Backoff doubles per retry, capped at 32x.
+  /// Mn). Backoff doubles per retry, capped at 32x.
   SimTime rto_ns = 0;
 
   /// Retries per packet before the link declares the channel wedged and

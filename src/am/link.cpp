@@ -38,7 +38,7 @@ void LinkEndpoint::configure(NodeId self, const FaultConfig& cfg,
   rto_ = rto_ns;
   pool_ = pool;
   // Independent per-source stream: draws on node A never perturb node B's,
-  // so ThreadMachine needs no locking and SimMachine's schedule alone
+  // so MnMachine needs no locking and SimMachine's schedule alone
   // determines the draw sequence.
   rng_ = Xoshiro256(mix64(cfg.seed) ^ mix64(0x11bb5eedULL + self));
 }

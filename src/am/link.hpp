@@ -53,7 +53,7 @@ struct LinkStats {
 
 /// How an endpoint reaches the wire and the client. Machines implement this
 /// privately: `link_transmit` puts one physical copy on the wire (Sim: a
-/// delivery event at now + wire latency + extra_delay; Thread: a queue push
+/// delivery event at now + wire latency + extra_delay; Mn: a mailbox push
 /// with the sent-epoch bump), `link_deliver` hands an in-order packet to
 /// `NodeClient::handle` on the destination node.
 class LinkSink {

@@ -1,18 +1,16 @@
 // Abstract multicomputer: P nodes exchanging active-message packets.
 //
-// Three implementations share this interface (DESIGN.md §1, docs/machines.md):
-//   * SimMachine    — deterministic discrete-event executor with per-node
-//                     virtual clocks and the CostModel; regenerates the
-//                     paper's CM-5 scaling and primitive-cost tables on a
-//                     single host core.
-//   * ThreadMachine — one OS thread per node, real MPSC endpoint queues,
-//                     wall-clock time; demonstrates the runtime is genuinely
-//                     concurrent.
-//   * MnMachine     — M nodes multiplexed onto N worker threads with
-//                     work-stealing run queues; reaches node counts (1024+)
-//                     far past hardware parallelism.
-// All kernel/protocol code above this interface is identical under all
-// three; construction is centralized in make_machine (machine_factory.hpp).
+// Two implementations share this interface (DESIGN.md §1, docs/machines.md):
+//   * SimMachine — deterministic discrete-event executor with per-node
+//                  virtual clocks and the CostModel; regenerates the paper's
+//                  CM-5 scaling and primitive-cost tables on a single host
+//                  core.
+//   * MnMachine  — M nodes multiplexed onto N worker threads with real MPSC
+//                  mailboxes, work-stealing run queues and wall-clock time;
+//                  demonstrates the runtime is genuinely concurrent and
+//                  reaches node counts (1024+) far past hardware parallelism.
+// All kernel/protocol code above this interface is identical under both;
+// construction is centralized in make_machine (machine_factory.hpp).
 #pragma once
 
 #include <atomic>
@@ -114,7 +112,8 @@ class Machine {
   /// the three-phase BulkChannel protocol.
   virtual void send(Packet p) = 0;
 
-  /// Advance the node's virtual clock (SimMachine) / no-op (ThreadMachine).
+  /// Advance the node's virtual clock (SimMachine) / no-op (MnMachine: time
+  /// is real).
   virtual void charge(NodeId node, SimTime ns) = 0;
 
   /// Convenience: charge a floating-point workload on the cost model.
@@ -129,7 +128,7 @@ class Machine {
   }
 
   /// Current time on a node: virtual ns (SimMachine) or wall ns since
-  /// machine construction (ThreadMachine).
+  /// machine construction (MnMachine).
   virtual SimTime now(NodeId node) const = 0;
 
   /// Execute until quiescence (no packets in flight, no local work, no work
@@ -137,7 +136,7 @@ class Machine {
   virtual void run() = 0;
 
   /// Host-parallelism this machine runs on: 1 for the sequential simulator,
-  /// one per node for ThreadMachine, the worker-pool size for MnMachine.
+  /// the worker-pool size for MnMachine.
   /// Reported as RunReport::workers (the scaling-curve dimension).
   virtual std::uint32_t worker_count() const noexcept { return 1; }
 
@@ -190,7 +189,7 @@ class Machine {
   // Configured once, after clients are attached and before run(). Enabling
   // faults also enables the per-node LinkEndpoints (ack/retransmit/dedupe);
   // disabled, sends take the historical direct path with zero link overhead.
-  // Machine implementations override to scrub unsupported knobs (Thread
+  // Machine implementations override to scrub unsupported knobs (MnMachine
   // drops the delay probability) and pick the default RTO, then call the
   // base. Must not be called while the machine is running.
   virtual void configure_faults(const FaultConfig& cfg);
@@ -245,10 +244,11 @@ class Machine {
     return *clients_[node];
   }
 
-  /// Executor hook: the global run state changed in a way sleeping node
-  /// loops must observe (stop requested, work hint went positive).
-  /// ThreadMachine overrides it to wake every blocked node; SimMachine is
-  /// single-threaded and needs nothing. Must be safe from any thread.
+  /// Executor hook: the global run state changed in a way sleeping workers
+  /// must observe (stop requested, work hint went positive). MnMachine
+  /// overrides it to bump its wake epoch and wake every parked worker;
+  /// SimMachine is single-threaded and needs nothing. Must be safe from any
+  /// thread.
   virtual void wake_hook() noexcept {}
 
   /// Validate a packet at injection time.
@@ -263,10 +263,10 @@ class Machine {
   LinkEndpoint& link(NodeId node) noexcept { return *links_[node]; }
 
   /// Machine-appropriate retransmission timeout when FaultConfig::rto_ns
-  /// is 0 (Sim: a few virtual round trips; Thread: ~2 ms wall).
+  /// is 0 (Sim: a few virtual round trips; Mn: ~2 ms wall).
   virtual SimTime default_rto() const noexcept { return 2'000'000; }
 
-  // --- Batching internals (shared by the three machines' send paths) -------
+  // --- Batching internals (shared by both machines' send paths) ----------
   /// Can `p` ride a frame? Small non-bulk, non-loopback, non-link-control
   /// payloads whose record fits an empty frame qualify.
   bool batch_eligible(const Packet& p) const noexcept;

@@ -2,7 +2,6 @@
 
 #include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 
 namespace hal::am {
 
@@ -15,8 +14,6 @@ std::unique_ptr<Machine> make_machine(const RuntimeConfig& config) {
       }
       return sim;
     }
-    case MachineKind::kThread:
-      return std::make_unique<ThreadMachine>(config.nodes, config.costs);
     case MachineKind::kMn:
       return std::make_unique<MnMachine>(config.nodes, config.costs,
                                          config.mn_workers);

@@ -165,10 +165,9 @@ void MnMachine::enqueue(NodeSlot& s) {
 }
 
 void MnMachine::wake_worker(WorkerRec& rec) noexcept {
-  // Same seq_cst RMW handshake as ThreadMachine::raw_push (proof there and
-  // at am/park_handshake.hpp): the push above this call is visible to the
-  // wait predicate, and a notify under the mutex cannot land between
-  // predicate check and park.
+  // The seq_cst RMW handshake (proof in am/park_handshake.hpp): the push
+  // above this call is visible to the wait predicate, and a notify under
+  // the mutex cannot land between predicate check and park.
   if (rec.sleeping.claim_wake()) {
     std::lock_guard lock(rec.mutex);
     rec.cv.notify_one();
@@ -200,8 +199,8 @@ void MnMachine::maybe_wake_thief() noexcept {
 void MnMachine::wake_hook() noexcept {
   // The global run state changed (stop, or the balancer's work hint went
   // positive — the kernel keeps that hint only when balancing is on).
-  // Bump the wake epoch so idle nodes re-run on_idle (the balancer re-poll
-  // ThreadMachine gets by waking every node thread), then wake every worker.
+  // Bump the wake epoch so idle nodes re-run on_idle (the balancer re-poll),
+  // then wake every worker.
   wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
   for (auto& rec : workers_) {
     {
@@ -316,9 +315,10 @@ void MnMachine::run_node(NodeSlot& s) {
       }
     }
     if (links_active()) {
-      // Fire this node's retransmission timer if due (on its own stream,
-      // like ThreadMachine's timed park), then publish the next deadline so
-      // idle workers know how long the machine still owes wire work.
+      // Fire this node's retransmission timer if due (on its own stream, so
+      // endpoint state stays single-threaded), then publish the next
+      // deadline so idle workers know how long the machine still owes wire
+      // work.
       const SimTime due = exec_.link_deadline(n);
       if (due != 0 && due <= now(n)) {
         exec_.fire_link_timer(n, now(n), *this);
@@ -466,8 +466,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
       // Unacked retransmit masters somewhere: the machine still owes wire
       // work, so this worker must NOT join the idle set — staying active
       // keeps the detector's double scan returning kBusy, which is what
-      // makes loss unable to fake quiescence (ThreadMachine's unacked-
-      // master rule, lifted to the worker pool). Park with the earliest
+      // makes loss unable to fake quiescence (the unacked-master rule,
+      // lifted from nodes to the worker pool). Park with the earliest
       // deadline; on timeout, reschedule the due nodes so their quanta fire
       // the retransmission timers on their own streams.
       sleepers_.fetch_add(1, std::memory_order_relaxed);
@@ -509,13 +509,13 @@ void MnMachine::worker_loop(std::uint32_t w) {
 void MnMachine::park(WorkerRec& rec, std::uint64_t gen, SimTime deadline) {
   std::unique_lock lock(rec.mutex);
   for (;;) {
-    // Re-arm before EVERY predicate evaluation: the inject queue is the same
-    // Vyukov MPSC as ThreadMachine's mailboxes, so a completed push can be
-    // unreachable behind another producer's half-finished one and a single
-    // post-wakeup check could read "empty" with `sleeping` already cleared —
-    // the gap-closing producer would then skip its notify and this worker
-    // would sleep over a live run token. See ThreadMachine::park for the
-    // full happens-before argument.
+    // Re-arm before EVERY predicate evaluation: the inject queue is a
+    // Vyukov MPSC, so a completed push can be unreachable behind another
+    // producer's half-finished one and a single post-wakeup check could read
+    // "empty" with `sleeping` already cleared — the gap-closing producer
+    // would then skip its notify and this worker would sleep over a live
+    // run token. See am/park_handshake.hpp for the full happens-before
+    // argument.
     rec.sleeping.arm();
     if (!rec.inject.empty() || stop_requested() || rec.wake_gen != gen) break;
     if (deadline != 0) {

@@ -1,13 +1,14 @@
-// M:N machine: many nodes multiplexed onto a worker-thread pool.
+// M:N machine: many nodes multiplexed onto a worker-thread pool — the
+// runtime's wall-clock executor.
 //
-// SimMachine is one sequential event queue and ThreadMachine burns one OS
-// thread per node, so neither reaches the P = 1024–16384 regime the
-// hypercube broadcast tree and FIR load balancer were designed for. This
-// machine runs M nodes on N workers (CAF-style actor multiplexing over the
-// hardware_manager M:N shape cited in ROADMAP item 1):
+// SimMachine is one sequential event queue on virtual time. This machine
+// runs M nodes on N real workers (CAF-style actor multiplexing over the
+// hardware_manager M:N shape cited in ROADMAP item 1), from a few nodes on
+// the default pool up to the P = 1024–16384 regime the hypercube broadcast
+// tree and FIR load balancer were designed for:
 //
 //   * Packets cross workers through the per-node MPSC mailboxes owned by the
-//     shared NodeExecutor — the same queues ThreadMachine uses.
+//     shared NodeExecutor.
 //   * A *runnable node* is a unit of scheduling. Each node carries an atomic
 //     state machine {Idle, Queued, Running, RunningNotified}; a sender whose
 //     CAS wins Idle→Queued publishes exactly one run token for the node, so
@@ -30,8 +31,8 @@
 //   * Under fault injection, nodes holding unacked retransmit masters
 //     publish their next deadline into a shared timer table; a worker that
 //     would otherwise deactivate instead stays *active* and parks with that
-//     deadline, mirroring ThreadMachine's rule that pending wire work must
-//     keep the machine non-quiescent (loss cannot fake termination).
+//     deadline: pending wire work must keep the machine non-quiescent (loss
+//     cannot fake termination).
 //   * A worker that runs out of tokens first *searches* (re-polls its
 //     queues and steals for up to kSearchNs, still active) before it takes
 //     the idle transition and parks. While anyone searches, a sender wakes
@@ -86,8 +87,8 @@ class MnMachine final : public Machine, private LinkSink {
   SimTime now(NodeId node) const override;
   void run() override;
   std::uint32_t worker_count() const noexcept override { return workers_n_; }
-  /// Delay injection is Sim-only (real queues already reorder): scrubbed,
-  /// exactly as on ThreadMachine.
+  /// Delay injection is Sim-only (real queues already reorder, and a wall
+  /// clock sleep would only slow the soak): the knob is scrubbed here.
   void configure_faults(const FaultConfig& cfg) override;
 
   /// Epoch counters (stress tests, stats). These count packets *and* run
@@ -141,8 +142,9 @@ class MnMachine final : public Machine, private LinkSink {
     std::mutex mutex;
     std::condition_variable cv;
     std::uint64_t wake_gen = 0;   // guarded by mutex; bumped by wake_hook
-    // ThreadMachine's RMW handshake (am/park_handshake.hpp); HAL_PARK_FLAG
-    // → hal-lint HL006 pins the arm-per-predicate park-loop shape.
+    // The seq_cst RMW wake handshake (proof in am/park_handshake.hpp);
+    // HAL_PARK_FLAG → hal-lint HL006 pins the arm-per-predicate park-loop
+    // shape.
     ParkHandshake<> sleeping HAL_PARK_FLAG;
   };
 
@@ -150,8 +152,8 @@ class MnMachine final : public Machine, private LinkSink {
   /// Block until the inject queue looks non-empty, stop is requested, a wake
   /// generation lands, or `deadline` (ns since epoch_, 0 = none) passes.
   /// Re-arms `sleeping` before every predicate evaluation — required for
-  /// correctness against the MPSC queue's unreachable-suffix window (see
-  /// ThreadMachine::park, whose proof this mirrors).
+  /// correctness against the MPSC queue's unreachable-suffix window (proof
+  /// in am/park_handshake.hpp).
   void park(WorkerRec& rec, std::uint64_t gen, SimTime deadline);
   /// Execute one quantum for the node whose token we hold.
   void run_node(NodeSlot& slot);
@@ -206,8 +208,8 @@ class MnMachine final : public Machine, private LinkSink {
   FastClock clock_;
   std::chrono::steady_clock::time_point epoch_;
   // Bumped by wake_hook: idle nodes re-run on_idle once per epoch so the
-  // load balancer re-polls when the work hint turns positive (the M:N
-  // analogue of ThreadMachine waking every node thread).
+  // load balancer re-polls when the work hint turns positive, without a
+  // wake per node.
   std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint32_t> sleepers_{0};   // gate for maybe_wake_thief

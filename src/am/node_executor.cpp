@@ -74,8 +74,4 @@ SimTime NodeExecutor::link_deadline(NodeId node) const {
   return machine_.link(node).next_deadline();
 }
 
-bool NodeExecutor::has_unacked(NodeId node) const {
-  return machine_.links_active() && machine_.link(node).has_unacked();
-}
-
 }  // namespace hal::am

@@ -5,10 +5,10 @@
 // mailbox, run NodeClient::step quanta, count termination-detector epochs,
 // and fire link retransmission timers. SimMachine keeps its own event queue
 // and virtual clocks but shares the demux and timer entry points;
-// ThreadMachine and MnMachine additionally run their per-node MPSC mailboxes
-// and epoch accounting through here — which is what makes MnMachine an
-// executor *policy* (which worker runs which node when) rather than a third
-// copy of the event-loop logic.
+// MnMachine additionally runs its per-node MPSC mailboxes and epoch
+// accounting through here — which is what makes it an executor *policy*
+// (which worker runs which node when) rather than a second copy of the
+// event-loop logic.
 //
 // Threading contract: post() may be called from any thread (it is the
 // cross-thread handoff point); dispatch()/drain()/step_quantum()/
@@ -32,11 +32,11 @@ namespace hal::am {
 
 class NodeExecutor {
  public:
-  /// `participants` sizes the termination detector (ThreadMachine: one per
-  /// node; MnMachine: one per worker; SimMachine passes 0 — its event queue
-  /// is its own quiescence proof). `mailboxes` allocates the per-node MPSC
-  /// packet queues; machines that keep packets elsewhere (SimMachine's
-  /// event queue) skip them.
+  /// `participants` sizes the termination detector (MnMachine: one per
+  /// worker; SimMachine passes 0 — its event queue is its own quiescence
+  /// proof). `mailboxes` allocates the per-node MPSC packet queues;
+  /// machines that keep packets elsewhere (SimMachine's event queue) skip
+  /// them.
   NodeExecutor(Machine& machine, std::uint32_t participants, bool mailboxes);
 
   NodeExecutor(const NodeExecutor&) = delete;
@@ -79,10 +79,6 @@ class NodeExecutor {
 
   /// The node's earliest retransmission deadline (0 = none / links off).
   SimTime link_deadline(NodeId node) const;
-
-  /// True while `node` holds unacked retransmit masters: the node still owes
-  /// wire work and must not be allowed to look quiescent.
-  bool has_unacked(NodeId node) const;
 
   TerminationDetector& detector() noexcept { return detector_; }
   const TerminationDetector& detector() const noexcept { return detector_; }

@@ -47,7 +47,7 @@ struct Packet {
   /// into the receiving kernel's pool after the handler runs.
   Bytes payload;
   /// Injection timestamp, stamped by Machine::send — virtual ns under
-  /// SimMachine, wall ns under ThreadMachine. Feeds the delivery-latency
+  /// SimMachine, wall ns under MnMachine. Feeds the delivery-latency
   /// probes; not part of the modeled wire format (the real CMAM packet has
   /// no room for it — a hardware implementation would timestamp at the NI).
   SimTime stamp = 0;

@@ -1,13 +1,12 @@
 // Park/wake handshake: the seq_cst RMW flag protocol between a parking
 // consumer and its producers.
 //
-// Extracted from ThreadMachine/MnMachine (PR 8's lost-wakeup fix) into a
-// checkable unit: the executors instantiate it with `StdAtomics` (their
-// behavior is unchanged — same flag, same exchanges, same orders) and
-// hal-mc instantiates it with model atomics to exhaustively explore the
-// producer/consumer interleavings (docs/model-checking.md).
+// MnMachine's workers park on it (MnMachine::park, wake_worker,
+// maybe_wake_thief) with `StdAtomics`; hal-mc instantiates it with model
+// atomics to exhaustively explore the producer/consumer interleavings
+// (docs/model-checking.md).
 //
-// Protocol (full happens-before argument at ThreadMachine::raw_push):
+// Protocol:
 //
 //   consumer                         producer (after its queue push)
 //   --------                         -------------------------------
@@ -17,17 +16,44 @@
 //     cv.wait                          -> false: consumer is awake
 //   disarm()       exchange(false)
 //
-// Every access is a seq_cst exchange, so all touches of the flag form a
-// single modification-order chain in which each RMW reads the write
-// immediately before it and every link synchronizes-with the next. The
-// consumer must arm() before EVERY predicate evaluation — not once before
-// the loop — because a Vyukov MPSC push can be transiently unreachable
-// behind another producer's half-finished one (mpsc_queue.hpp, empty());
-// the gap-closing producer must either read true and notify, or have its
-// RMW precede the arm, making its push visible to the predicate. The
-// arm-per-evaluation loop shape is pinned by hal-lint HL006, the orders by
-// HL007, the interleavings by hal-mc's park scenarios, and the whole thing
-// by the TSan soak — four independent ways to lose if this regresses.
+// Why no wakeup is lost. Every access to the flag is a seq_cst
+// read-modify-write, so all touches form a single modification-order chain
+// in which each RMW reads the write immediately before it and every link
+// synchronizes-with the next. The consumer re-arms (an RMW writing true)
+// before EVERY wait-predicate evaluation; take any such arm C and a
+// producer's claim_wake S, sequenced after its push:
+//   - S precedes C: the RMW chain from S to C carries happens-before, so
+//     the predicate (sequenced after C) sees the push — no park.
+//   - C precedes S: the first producer RMW after C reads true and notifies
+//     while holding the consumer's mutex, so the notify cannot land
+//     between the predicate check and the wait; the roused consumer
+//     re-arms before it re-checks, restarting the argument, and later
+//     producers that read false are covered by that pending notify.
+// Either way the wakeup cannot be lost. A notify without the lock reopens
+// the check-then-wait window, and a wait timeout that papers over it
+// charges every message to an idle consumer up to the timeout. A busy
+// consumer keeps the producer path lock-free (one uncontended RMW). RMWs
+// instead of a seq_cst fence keep the protocol visible to ThreadSanitizer,
+// which does not model atomic_thread_fence.
+//
+// The re-arm per evaluation is load-bearing, not belt-and-braces: the queue
+// is a Vyukov MPSC, so a COMPLETED push can be transiently invisible behind
+// another producer's half-finished one (mpsc_queue.hpp, empty()). With a
+// single pre-park arm, a consumer woken by producer A could read "empty"
+// over producer B's gap and re-wait with the flag false (A's exchange
+// cleared it) — then B, closing the gap after A, reads false, skips the
+// notify, and the consumer sleeps forever over B's push. Arming afresh
+// guarantees the gap-closing producer either reads true and notifies, or
+// its RMW precedes the arm, in which case its next-pointer store (sequenced
+// before its RMW) is visible to the predicate.
+//
+// A waker that bumps a generation counter instead of pushing (a thief wake)
+// takes the same path: claim_wake() true, then bump under the consumer's
+// mutex, which the predicate reads under that mutex.
+//
+// The arm-per-evaluation loop shape is pinned by hal-lint HL006, the orders
+// by HL007, the interleavings by hal-mc's park scenarios, and the whole
+// thing by the TSan soak — four independent ways to lose if this regresses.
 #pragma once
 
 #include <atomic>

@@ -26,7 +26,7 @@
 //   fill    — the frame reached max_msgs records or max_frame_bytes
 //   timer   — the per-destination holdoff deadline expired (machines ride
 //             their existing timer plumbing: Sim schedules a coalesced
-//             kFrameTimer event, Thread/Mn poll deadlines per quantum)
+//             kFrameTimer event, Mn polls deadlines per quantum)
 //   idle    — the source node transitioned busy → idle (termination
 //             detection must never see a held frame)
 //   barrier — an unbatchable packet needed the channel, or shutdown drain
@@ -83,7 +83,7 @@ struct BatchConfig {
   std::uint32_t max_msgs = 64;
   /// Initial per-destination holdoff: how long the first record of a frame
   /// may wait for company before a timer flush (virtual ns under Sim, wall
-  /// ns under Thread/Mn). Kept small: bursty channels double their way up
+  /// ns under Mn). Kept small: bursty channels double their way up
   /// adaptively, while pipelined dependency chains (one small message per
   /// hop, sender still busy) only ever pay this much extra latency.
   SimTime holdoff_ns = 2'000;

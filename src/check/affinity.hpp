@@ -3,7 +3,7 @@
 // Level-2 counterpart of the capability annotations: the executors publish
 // "node N's stream is running on this OS thread right now" into a
 // thread-local (SimMachine around each handler/step/idle dispatch,
-// ThreadMachine for the whole node loop, Runtime around bootstrap calls),
+// MnMachine around each node quantum, Runtime around bootstrap calls),
 // and every guarded per-node structure asserts on entry that the current
 // stream matches its owner. Code running outside any node stream (the
 // bootstrap thread before run(), Runtime::report() after quiescence, unit
@@ -27,8 +27,8 @@ namespace hal::check {
 namespace detail {
 /// The node whose execution stream the current OS thread is running, or
 /// kInvalidNode outside any stream. One variable per thread: SimMachine
-/// interleaves all nodes on one thread (set per dispatch); ThreadMachine
-/// pins one node per thread (set once per loop).
+/// interleaves all nodes on one thread (set per dispatch); MnMachine runs
+/// one node at a time per worker (set per quantum).
 inline thread_local NodeId t_current_node = kInvalidNode;
 }  // namespace detail
 

@@ -21,7 +21,7 @@ void default_handler(const Violation& v) {
   HAL_PANIC("hal::check invariant violation");
 }
 
-// Atomic so a ThreadMachine node thread hitting a violation while the
+// Atomic so an MnMachine worker thread hitting a violation while the
 // bootstrap thread swaps handlers (tests) is a race on the pointer only,
 // not undefined behaviour.
 std::atomic<ViolationHandler> g_handler{&default_handler};

@@ -10,10 +10,10 @@
 //
 // Ownership discipline matches the rest of the runtime (DESIGN.md §5):
 // each kernel owns one pool and touches it only from its own execution
-// stream, so there is no locking. Under the ThreadMachine the pools are
-// thereby sharded per node thread; a buffer acquired on the sending node
-// travels inside the packet and retires into the *receiving* node's pool,
-// which is safe because `Bytes` carries its own allocation.
+// stream, so there is no locking. Under MnMachine the pools are thereby
+// sharded per node, whichever worker runs it; a buffer acquired on the
+// sending node travels inside the packet and retires into the *receiving*
+// node's pool, which is safe because `Bytes` carries its own allocation.
 #pragma once
 
 #include <array>

@@ -1,9 +1,9 @@
-// Cheap nanosecond clock for the wall-clock machines.
+// Cheap nanosecond clock for the wall-clock machine.
 //
-// ThreadMachine and MnMachine stamp every packet and bracket every method
-// execution with a clock read; through the vDSO, steady_clock::now() costs
-// ~25-30 ns — a third of the whole per-message delivery path once batching
-// has amortized the queue and wake costs. On x86-64 with an invariant TSC
+// MnMachine stamps every packet and brackets every method execution with a
+// clock read; through the vDSO, steady_clock::now() costs ~25-30 ns — a
+// third of the whole per-message delivery path once batching has amortized
+// the queue and wake costs. On x86-64 with an invariant TSC
 // (constant_tsc + nonstop_tsc, universal on anything this decade), a
 // calibrated rdtsc gives the same nanoseconds-since-epoch reading in ~7 ns.
 //

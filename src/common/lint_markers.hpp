@@ -1,7 +1,7 @@
 // Protocol markers for hal-lint's whole-program concurrency checks.
 //
 // The runtime's lock-free protocols are correct for reasons that live in
-// proof comments (ThreadMachine::raw_push, MpscQueue::empty,
+// proof comments (am/park_handshake.hpp, MpscQueue::empty,
 // termination.hpp); these markers bind the code to those arguments so
 // hal-lint can enforce the load-bearing parts mechanically:
 //

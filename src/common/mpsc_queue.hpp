@@ -1,9 +1,10 @@
 // Unbounded multi-producer single-consumer queue (Vyukov's algorithm).
 //
-// This is the only cross-thread data structure in the ThreadMachine: each
-// node's network endpoint is an MpscQueue<Packet> that remote nodes push
-// into and only the owning node pops from — matching the paper's model where
-// the network interface delivers into a node and the node manager drains it.
+// Each node's network endpoint on MnMachine is an MpscQueue<Packet> that
+// remote nodes push into and only the node's current execution stream pops
+// from — matching the paper's model where the network interface delivers
+// into a node and the node manager drains it. MnMachine's per-worker inject
+// queues reuse it for off-pool run-token handoff.
 #pragma once
 
 #include <atomic>
@@ -46,8 +47,8 @@ class MpscQueue {
   MpscQueue& operator=(const MpscQueue&) = delete;
 
   // Destruction is a consumer-side operation: no producer may push
-  // concurrently (the ThreadMachine joins every node thread before its
-  // NodeRecs die). Drains remaining elements, then frees the stub.
+  // concurrently (MnMachine::run joins every worker thread before it
+  // returns). Drains remaining elements, then frees the stub.
   ~MpscQueue() {
     while (pop().has_value()) {
     }
@@ -81,7 +82,8 @@ class MpscQueue {
   /// producer's half-finished one (head_ already swung, prev->next not yet
   /// stored). A consumer that parks on "empty" must therefore re-arm its
   /// wakeup flag before every check, so the producer that closes the gap
-  /// re-notifies — see the park loops in ThreadMachine and MnMachine.
+  /// re-notifies — see MnMachine::park and the proof in
+  /// am/park_handshake.hpp.
   bool empty() const {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
   }

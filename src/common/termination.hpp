@@ -1,9 +1,9 @@
 // Event-driven termination (quiescence) detection for multithreaded
 // executors.
 //
-// The ThreadMachine needs to answer "is the whole machine done?" without a
+// MnMachine needs to answer "is the whole machine done?" without a
 // central coordinator and without polling. A machine is quiescent when
-//   (a) every participant (node loop) is idle,
+//   (a) every participant (worker loop) is idle,
 //   (b) every unit of work that was ever published has been consumed, and
 //   (c) no external work tokens are outstanding (see Machine work tokens).
 // The detector tracks (a) with a sharded active counter and (b) with a pair

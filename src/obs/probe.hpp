@@ -3,7 +3,7 @@
 // Each probe names one runtime primitive whose latency (or size) the paper's
 // evaluation cares about: Tables 1-5 are built from µs-level measurements of
 // message delivery, FIR resolution, migration and bulk transfer. A probe is
-// charged in virtual ns under SimMachine and wall ns under ThreadMachine, so
+// charged in virtual ns under SimMachine and wall ns under MnMachine, so
 // the two executors produce comparable distributions.
 #pragma once
 

@@ -21,7 +21,7 @@ class ProbeRecorder {
   }
 
   /// Duration helper with saturation: cross-node wall-clock deltas under
-  /// ThreadMachine can come out "negative" when the endpoints race; clamp to
+  /// MnMachine can come out "negative" when the endpoints race; clamp to
   /// zero rather than recording a wrapped uint64.
   void record_span(Probe p, std::uint64_t start, std::uint64_t end) noexcept {
     record(p, end >= start ? end - start : 0);

@@ -22,7 +22,7 @@ namespace hal::obs {
 /// v3: adds "dead_letter_causes" (per-cause breakdown summing to
 /// "dead_letters") and the link/fault stat counters + redelivery probe.
 /// v4: adds "workers" (execution contexts the machine used: 1 for sim,
-/// node count for thread, pool size N for mn) and the "mn" machine kind.
+/// pool size N for mn) and the "mn" machine kind.
 /// v5: adds the wire-batching counters (wire_frames, coalesced_msgs and the
 /// four wire_flush_* cause counters) and the frame_fill_msgs probe.
 inline constexpr std::string_view kRunReportSchema = "halcyon.run_report.v5";
@@ -41,10 +41,10 @@ struct BufferAudit {
 };
 
 struct RunReport {
-  std::string machine;  ///< "sim", "thread" or "mn" (to_string(MachineKind))
+  std::string machine;  ///< "sim" or "mn" (to_string(MachineKind))
   std::uint64_t nodes = 0;
   /// Execution contexts the machine scheduled nodes onto (worker_count()):
-  /// 1 for sim, nodes for thread, the worker-pool size for mn. The scaling
+  /// 1 for sim, the worker-pool size for mn. The scaling
   /// sweep in bench/mn_scaling reads its x-axis from here.
   std::uint64_t workers = 1;
   std::uint64_t seed = 0;

@@ -15,9 +15,8 @@
 namespace hal {
 
 enum class MachineKind : std::uint8_t {
-  kSim,     ///< deterministic virtual-time simulator (default)
-  kThread,  ///< one OS thread per node
-  kMn,      ///< M nodes multiplexed onto N worker threads (work-stealing)
+  kSim,  ///< deterministic virtual-time simulator (default)
+  kMn,   ///< M nodes multiplexed onto N worker threads (work-stealing)
 };
 
 /// Canonical machine names: the strings RunReport::machine carries, the
@@ -27,19 +26,16 @@ constexpr std::string_view to_string(MachineKind kind) noexcept {
   switch (kind) {
     case MachineKind::kSim:
       return "sim";
-    case MachineKind::kThread:
-      return "thread";
     case MachineKind::kMn:
       return "mn";
   }
   return "unknown";
 }
 
-/// Parse a machine name ("sim" | "thread" | "mn"); nullopt on anything else.
+/// Parse a machine name ("sim" | "mn"); nullopt on anything else.
 constexpr std::optional<MachineKind> parse_machine_kind(
     std::string_view name) noexcept {
   if (name == "sim") return MachineKind::kSim;
-  if (name == "thread") return MachineKind::kThread;
   if (name == "mn") return MachineKind::kMn;
   return std::nullopt;
 }

@@ -224,7 +224,7 @@ class Context {
   /// read with Runtime::console() after the run).
   void print(std::string_view text) { kernel_.console_print(text); }
 
-  // --- Cost accounting (simulated compute; no-op on ThreadMachine) ------------
+  // --- Cost accounting (simulated compute; no-op on MnMachine) ----------------
   void charge_flops(std::uint64_t flops) { kernel_.charge_flops(flops); }
   void charge_work(std::uint64_t units) { kernel_.charge_work(units); }
   void charge_ns(SimTime ns) { kernel_.charge(ns); }

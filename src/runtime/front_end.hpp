@@ -29,8 +29,8 @@ class FrontEnd {
     std::string text;
   };
 
-  /// Called on node 0's execution stream (ThreadMachine: node 0's thread;
-  /// bootstrap: the main thread) — serialized defensively anyway. Takes a
+  /// Called on node 0's execution stream (MnMachine: whichever worker runs
+  /// node 0; bootstrap: the main thread) — serialized defensively anyway. Takes a
   /// view over the packet payload; the owning string is built in place here,
   /// not by the caller.
   void append(SimTime time, NodeId node, std::string_view text) {

@@ -213,8 +213,8 @@ class Kernel final : public am::NodeClient {
   const RuntimeConfig& config() const noexcept { return config_; }
   GroupTable& groups() noexcept { return groups_; }
   /// This node's payload-buffer pool. Single-owner: touched only from this
-  /// kernel's execution stream (thread under ThreadMachine, interleaved
-  /// stream under SimMachine).
+  /// kernel's execution stream (the worker holding the node's run token
+  /// under MnMachine, interleaved stream under SimMachine).
   BufferPool& pool() noexcept { return pool_; }
   Dispatcher& dispatcher() noexcept { return dispatcher_; }
   Xoshiro256& rng() noexcept { return rng_; }

@@ -109,7 +109,7 @@ class Runtime {
   /// per-node + aggregate counters, and per-probe latency histograms, with
   /// deterministic JSON serialization (obs::RunReport::to_json). Makespan is
   /// virtual ns under SimMachine and measured wall ns of run() under
-  /// ThreadMachine.
+  /// MnMachine.
   obs::RunReport report();
 
   /// Count and retire everything still buffered inside the kernels

@@ -49,7 +49,7 @@ struct Event {
 };
 
 /// Shared, thread-safe event sink. The mutex is uncontended under the
-/// simulator (one event loop) and acceptable under ThreadMachine — tracing
+/// simulator (one event loop) and acceptable under MnMachine — tracing
 /// is a diagnosis tool, not a fast path; kernels skip the call entirely
 /// when tracing is off.
 class TraceRecorder {

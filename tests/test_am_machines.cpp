@@ -1,5 +1,5 @@
-// Unit tests: active-message substrate (SimMachine, ThreadMachine,
-// MnMachine, MST, bulk transfer protocol with minimal flow control).
+// Unit tests: active-message substrate (SimMachine, MnMachine, MST, bulk
+// transfer protocol with minimal flow control).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,7 +11,6 @@
 #include "am/mn_machine.hpp"
 #include "am/mst.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 
 namespace hal::am {
 namespace {
@@ -114,35 +113,9 @@ TEST(SimMachine, ChargeAccumulatesPerNode) {
   EXPECT_EQ(h.machine.now(1), 0u);
 }
 
-// --- ThreadMachine -----------------------------------------------------------------
-
-TEST(ThreadMachine, DeliversAndQuiesces) {
-  Harness<ThreadMachine> h(2);
-  h.machine.send(make_packet(0, 1, 99));
-  h.machine.run();
-  ASSERT_EQ(h.clients[1].received.size(), 1u);
-  EXPECT_EQ(h.clients[1].received[0].words[0], 99u);
-}
-
-TEST(ThreadMachine, RelayChainQuiesces) {
-  Harness<ThreadMachine> h(4);
-  for (NodeId n = 0; n < 4; ++n) {
-    h.clients[n].on_packet = [&h, n](TestClient&, Packet p) {
-      if (p.words[0] > 0) {
-        h.machine.send(make_packet(n, (n + 1) % 4, p.words[0] - 1));
-      }
-    };
-  }
-  h.machine.send(make_packet(0, 1, 100));
-  h.machine.run();
-  std::size_t total = 0;
-  for (auto& c : h.clients) total += c.received.size();
-  EXPECT_EQ(total, 101u);
-}
-
 // --- MnMachine ---------------------------------------------------------------------
 // (The large-P / stealing / termination suite lives in test_mn_machine.cpp;
-// here MnMachine just rides the same substrate matrix as the other two.)
+// here MnMachine just rides the same substrate matrix as SimMachine.)
 
 TEST(MnMachine, DeliversAndQuiesces) {
   Harness<MnMachine> h(2);
@@ -383,16 +356,12 @@ TEST(Bulk, EdgeCaseMixCompletesUnderSimMachine) {
   run_bulk_edge_cases<SimMachine>();
 }
 
-TEST(Bulk, EdgeCaseMixCompletesUnderThreadMachine) {
-  run_bulk_edge_cases<ThreadMachine>();
-}
-
 TEST(Bulk, EdgeCaseMixCompletesUnderMnMachine) {
   run_bulk_edge_cases<MnMachine>();
 }
 
-TEST(Bulk, ZeroLengthTransferCompletesUnderThreadMachine) {
-  BulkHarnessT<ThreadMachine> h(2);
+TEST(Bulk, ZeroLengthTransferCompletesUnderMnMachine) {
+  BulkHarnessT<MnMachine> h(2);
   h.channels[0]->send(1, 5, {0, 0}, {});
   h.machine.run();
   ASSERT_EQ(h.clients[1].delivered.size(), 1u);
@@ -422,10 +391,6 @@ void run_back_to_back_grants() {
 
 TEST(Bulk, BackToBackQueuedGrantsUnderSimMachine) {
   run_back_to_back_grants<SimMachine>();
-}
-
-TEST(Bulk, BackToBackQueuedGrantsUnderThreadMachine) {
-  run_back_to_back_grants<ThreadMachine>();
 }
 
 TEST(Bulk, BackToBackQueuedGrantsUnderMnMachine) {

@@ -55,8 +55,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FibCase{15, 2, 4, false, MachineKind::kSim},
                       FibCase{15, 2, 4, true, MachineKind::kSim},
                       FibCase{18, 8, 8, true, MachineKind::kSim},
-                      FibCase{18, 5, 3, true, MachineKind::kThread},
-                      FibCase{14, 2, 2, true, MachineKind::kThread}));
+                      FibCase{18, 5, 3, true, MachineKind::kMn},
+                      FibCase{14, 2, 2, true, MachineKind::kMn}));
 
 TEST(FibScaling, LoadBalancingHelpsOnManyNodes) {
   FibParams p;
@@ -137,10 +137,10 @@ INSTANTIATE_TEST_SUITE_P(
                  .n = 40, .nodes = 8, .machine = MachineKind::kSim},
         CholCase{.variant = CholVariant::kPipelined,
                  .mapping = ColMapping::kCyclic,
-                 .n = 32, .nodes = 4, .machine = MachineKind::kThread},
+                 .n = 32, .nodes = 4, .machine = MachineKind::kMn},
         CholCase{.variant = CholVariant::kGlobalBcast,
                  .mapping = ColMapping::kBlock,
-                 .n = 32, .nodes = 4, .machine = MachineKind::kThread}));
+                 .n = 32, .nodes = 4, .machine = MachineKind::kMn}));
 
 TEST(CholeskyShape, LocalSyncBeatsGlobalSync) {
   // The Table 1 headline: pipelined local synchronization outperforms the
@@ -211,8 +211,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MatmulCase{16, 2, MachineKind::kSim},
                       MatmulCase{24, 3, MachineKind::kSim},
                       MatmulCase{32, 4, MachineKind::kSim},
-                      MatmulCase{16, 2, MachineKind::kThread},
-                      MatmulCase{24, 3, MachineKind::kThread}));
+                      MatmulCase{16, 2, MachineKind::kMn},
+                      MatmulCase{24, 3, MachineKind::kMn}));
 
 // --- PageRank (irregular sparse workload, paper §9's asked-for evaluation) ---
 
@@ -254,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PrCase{256, 4, 2, 6, 2, MachineKind::kSim},
                       PrCase{512, 8, 4, 8, 2, MachineKind::kSim},
                       PrCase{300, 3, 3, 5, 1, MachineKind::kSim},
-                      PrCase{256, 4, 2, 6, 2, MachineKind::kThread}));
+                      PrCase{256, 4, 2, 6, 2, MachineKind::kMn}));
 
 TEST(PageRankShape, RebalancingShortensLaterRounds) {
   PageRankParams p;

@@ -1,6 +1,6 @@
 // Tests: remaining Context / compiled API surface — create_init variants,
 // prefilled join slots, send_static_cont, broadcast with continuations,
-// and the HALlite interpreter under the threaded machine.
+// and the HALlite interpreter under the wall-clock machine (MnMachine).
 #include <gtest/gtest.h>
 
 #include "lang/interp.hpp"
@@ -123,12 +123,12 @@ TEST_F(ContextApi, SendStaticContDeliversReply) {
   EXPECT_GT(rt.report().total.get(Stat::kStaticDispatches), 0u);
 }
 
-// --- HALlite under the threaded machine ------------------------------------------
+// --- HALlite under the wall-clock machine ----------------------------------------
 
 TEST(LangThreaded, ProgramsRunUnderRealThreads) {
   RuntimeConfig cfg;
   cfg.nodes = 4;
-  cfg.machine = MachineKind::kThread;
+  cfg.machine = MachineKind::kMn;
   Runtime rt(cfg);
   auto program = lang::load_program(rt, R"(
     behavior Counter {
@@ -157,7 +157,7 @@ TEST(LangThreaded, ProgramsRunUnderRealThreads) {
 TEST(LangThreaded, MigrationUnderRealThreads) {
   RuntimeConfig cfg;
   cfg.nodes = 3;
-  cfg.machine = MachineKind::kThread;
+  cfg.machine = MachineKind::kMn;
   Runtime rt(cfg);
   auto program = lang::load_program(rt, R"(
     behavior Hopper {

@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 100, 480, 481, 512, 513, 4095,
                                          4096, 4097, 12288, 100000),
                        ::testing::Values(MachineKind::kSim,
-                                         MachineKind::kThread)));
+                                         MachineKind::kMn)));
 
 // --- Argument codec limits -------------------------------------------------------------
 

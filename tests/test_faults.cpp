@@ -3,8 +3,8 @@
 // effectively-once, in-order delivery to every layer above — including the
 // termination detector, the bulk-transfer credit window, and the FIR chase.
 //
-// Suite names all contain "Fault" so the ThreadMachine soaks here ride the
-// HAL_SANITIZE=thread CI job's -R 'Stress|ThreadMachine|Bulk|Fault' filter.
+// Suite names all contain "Fault" so the MnMachine soaks here ride the
+// HAL_SANITIZE=thread CI job's -R 'Stress|MnMachine|Bulk|Fault' filter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "am/link.hpp"
 #include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "apps/fib.hpp"
 #include "runtime/api.hpp"
 
@@ -339,8 +338,11 @@ TEST(FaultLink, SimSameSeedSameFaultPattern) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(FaultLink, ThreadLossAndDuplicationExactlyOnce) {
-  LinkHarness<am::ThreadMachine> h(2);
+// A dense 2-node channel on the M:N pool: every packet crosses the same
+// endpoint pair, so drops, duplicates and retransmits interleave on one
+// sequence space.
+TEST(FaultLink, MnLossAndDuplicationExactlyOnce) {
+  LinkHarness<am::MnMachine> h(2);
   am::FaultConfig fc;
   fc.enabled = true;
   fc.drop = 0.1;
@@ -356,9 +358,9 @@ TEST(FaultLink, ThreadLossAndDuplicationExactlyOnce) {
   expect_exactly_once_in_order(h.clients[1], kCount);
 }
 
-// Same soak on the M:N pool, with many more endpoints than workers: link
-// endpoints migrate across workers with their nodes, and the shared timer
-// table (not a per-node thread) keeps retransmission alive.
+// The same soak with many more endpoints than workers: link endpoints
+// migrate across workers with their nodes, and the shared timer table keeps
+// retransmission alive.
 TEST(FaultLink, MnLossAndDuplicationExactlyOnceAtLargeP) {
   LinkHarness<am::MnMachine> h(64);
   am::FaultConfig fc;
@@ -542,7 +544,7 @@ class FaultRuntimeTest : public ::testing::TestWithParam<MachineKind> {
     c.nodes = nodes;
     c.machine = GetParam();
     c.faults = faults;
-    // Keep ThreadMachine recovery latency test-friendly (default is 2 ms).
+    // Keep MnMachine recovery latency test-friendly (default is 2 ms).
     if (c.faults.rto_ns == 0) c.faults.rto_ns = 500'000;
     return c;
   }
@@ -554,7 +556,7 @@ TEST_P(FaultRuntimeTest, BurstsStayExactUnderLossAndDuplication) {
   fc.enabled = true;
   fc.drop = 0.05;
   fc.duplicate = 0.05;
-  fc.delay = 0.05;  // scrubbed under Thread
+  fc.delay = 0.05;  // scrubbed under Mn
   Runtime rt(cfg(4, fc));
   rt.load<Counter>();
   rt.load<Burst>();
@@ -646,14 +648,11 @@ TEST_P(FaultRuntimeTest, MigrationAndFirChaseSurviveFaults) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, FaultRuntimeTest,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread,
                                            MachineKind::kMn),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case MachineKind::kSim:
                                return "Sim";
-                             case MachineKind::kThread:
-                               return "Thread";
                              case MachineKind::kMn:
                                return "Mn";
                            }
@@ -684,9 +683,9 @@ TEST(FaultReport, SimFibMatrixIsByteDeterministic) {
   }
 }
 
-// --- ThreadMachine loss soak (TSan CI target) ---------------------------------
+// --- MnMachine loss soak (TSan CI target) -------------------------------------
 
-TEST(FaultSoak, ThreadRuntimeLossSoak) {
+TEST(FaultSoak, MnRuntimeLossSoak) {
   am::FaultConfig fc;
   fc.enabled = true;
   fc.drop = 0.05;
@@ -694,7 +693,7 @@ TEST(FaultSoak, ThreadRuntimeLossSoak) {
   fc.rto_ns = 500'000;
   RuntimeConfig c;
   c.nodes = 4;
-  c.machine = MachineKind::kThread;
+  c.machine = MachineKind::kMn;
   c.faults = fc;
   Runtime rt(c);
   rt.load<Counter>();

@@ -68,7 +68,9 @@ TEST_P(FrontEndTest, SimOrdersLinesByVirtualTime) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, FrontEndTest,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread),
+                                           MachineKind::kMn),
+                         // `Thread` labels the wall-clock column: host worker
+                         // threads, MnMachine on its default pool.
                          [](const auto& param_info) {
                            return param_info.param == MachineKind::kSim
                                       ? "Sim"

@@ -184,7 +184,9 @@ TEST_P(GroupTest, GroupLargerThanMachine) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, GroupTest,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread),
+                                           MachineKind::kMn),
+                         // `Thread` labels the wall-clock column: host worker
+                         // threads, MnMachine on its default pool.
                          [](const auto& param_info) {
                            return param_info.param == MachineKind::kSim
                                       ? "Sim"

@@ -139,7 +139,9 @@ TEST_P(LoadBalanceTest, IdleMachineStaysQuiescent) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, LoadBalanceTest,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread),
+                                           MachineKind::kMn),
+                         // `Thread` labels the wall-clock column: host worker
+                         // threads, MnMachine on its default pool.
                          [](const auto& param_info) {
                            return param_info.param == MachineKind::kSim
                                       ? "Sim"

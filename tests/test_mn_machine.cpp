@@ -4,10 +4,10 @@
 // (RuntimeConfig::validate at P = 16384, detector and probe memory).
 //
 // Suite names all contain "MnMachine" so the whole file rides the TSan CI
-// job's -R 'Stress|ThreadMachine|MnMachine|Bulk|Fault' soak filter: the
-// node-state token protocol, the Chase-Lev deques, and the cross-worker
-// mailbox handoff are exactly the code paths a 50x repeat under
-// ThreadSanitizer is meant to shake.
+// job's -R 'Stress|MnMachine|Bulk|Fault' soak filter: the node-state token
+// protocol, the Chase-Lev deques, and the cross-worker mailbox handoff are
+// exactly the code paths a 50x repeat under ThreadSanitizer is meant to
+// shake.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -357,8 +357,7 @@ TEST(MnMachineConfig, ValidateAcceptsSixteenThousandNodes) {
 }
 
 TEST(MnMachineConfig, MachineKindNamesRoundTrip) {
-  for (const MachineKind k :
-       {MachineKind::kSim, MachineKind::kThread, MachineKind::kMn}) {
+  for (const MachineKind k : {MachineKind::kSim, MachineKind::kMn}) {
     const auto parsed = parse_machine_kind(to_string(k));
     ASSERT_TRUE(parsed.has_value()) << to_string(k);
     EXPECT_EQ(*parsed, k);
@@ -367,6 +366,7 @@ TEST(MnMachineConfig, MachineKindNamesRoundTrip) {
   EXPECT_FALSE(parse_machine_kind("Sim").has_value());
   EXPECT_FALSE(parse_machine_kind("mn ").has_value());
   EXPECT_FALSE(parse_machine_kind("threads").has_value());
+  EXPECT_FALSE(parse_machine_kind("thread").has_value());
 }
 
 TEST(MnMachineScale, TerminationDetectorHandlesSixteenThousandParticipants) {

@@ -2,10 +2,10 @@
 // report true while a COMPLETED push is already in the queue, whenever
 // that push is chained behind another producer's half-finished one. This
 // is not a bug — it is the documented weakness the park handshake is
-// built around: ThreadMachine::raw_push (and hal-lint HL006) require the
-// consumer to re-arm its `sleeping` flag with a seq_cst exchange before
-// EVERY empty() re-check, so the producer that eventually closes the gap
-// observes the armed flag and notifies. If this test ever starts failing
+// built around: its proof in am/park_handshake.hpp (and hal-lint HL006)
+// requires the consumer to re-arm its `sleeping` flag with a seq_cst
+// exchange before EVERY empty() re-check, so the producer that eventually
+// closes the gap observes the armed flag and notifies. If this test ever starts failing
 // because empty() became exact, that proof (and the re-arm requirement)
 // should be revisited together.
 #include <atomic>

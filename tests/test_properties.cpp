@@ -135,9 +135,9 @@ INSTANTIATE_TEST_SUITE_P(
                       StormCase{.seed = 7, .nodes = 3, .ops = 100,
                                 .machine = MachineKind::kSim},
                       StormCase{.seed = 8, .nodes = 4, .ops = 120,
-                                .machine = MachineKind::kThread},
+                                .machine = MachineKind::kMn},
                       StormCase{.seed = 9, .nodes = 8, .ops = 150,
-                                .machine = MachineKind::kThread}));
+                                .machine = MachineKind::kMn}));
 
 TEST_P(MigrationStorm, EpochsIncreaseAlongForwardChains) {
   const StormCase& c = GetParam();

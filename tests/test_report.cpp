@@ -192,14 +192,14 @@ TEST(RunReport, MixedWorkloadPopulatesTheCoreProbes) {
   EXPECT_GE(r.probes.populated(), 5u);
 }
 
-TEST(RunReport, ThreadMachineReportsWallTimeAndProbes) {
-  const obs::RunReport r = run_workload(MachineKind::kThread);
-  EXPECT_EQ(r.machine, "thread");
+TEST(RunReport, MnMachineReportsWallTimeAndProbes) {
+  const obs::RunReport r = run_workload(MachineKind::kMn);
+  EXPECT_EQ(r.machine, "mn");
   EXPECT_EQ(r.nodes, 4u);
   EXPECT_GT(r.makespan_ns, 0u);
   EXPECT_GE(r.probes.populated(), 5u);
   const std::string json = r.to_json();
-  EXPECT_NE(json.find("\"machine\":\"thread\""), std::string::npos);
+  EXPECT_NE(json.find("\"machine\":\"mn\""), std::string::npos);
 }
 
 // --- RuntimeConfig validation ---------------------------------------------------

@@ -433,7 +433,9 @@ TEST(DispatchOrder, ForkTreeExpandsDepthFirst) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, RuntimeCore,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread),
+                                           MachineKind::kMn),
+                         // `Thread` labels the wall-clock column: host worker
+                         // threads, MnMachine on its default pool.
                          [](const auto& param_info) {
                            return param_info.param == MachineKind::kSim
                                       ? "Sim"

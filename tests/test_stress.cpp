@@ -1,10 +1,11 @@
-// Concurrency stress tests for the ThreadMachine substrate.
+// Concurrency stress tests for the wall-clock substrate.
 //
 // These are the tests the sanitizer CI presets (HAL_SANITIZE=thread|address)
-// exist for: they hammer the only cross-thread structures in the system —
-// MpscQueue endpoints, the TerminationDetector, and the wakeup handshake in
-// ThreadMachine::send — under true preemption, then assert exact delivery
-// counts and clean quiescence. Every scenario is sized to finish in a couple
+// exist for: they hammer the cross-thread structures in the system —
+// MpscQueue endpoints, the TerminationDetector, and MnMachine's run-token
+// handoff and park/wake handshake — under true preemption, then assert
+// exact delivery counts and clean quiescence. The machine-level storms run
+// on MnMachine's default pool. Every scenario is sized to finish in a couple
 // of seconds even single-core and under ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -15,8 +16,8 @@
 #include <vector>
 
 #include "am/bulk.hpp"
+#include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
 #include "common/termination.hpp"
@@ -168,10 +169,10 @@ TEST(TerminationDetectorStress, NoFalseQuiescenceUnderChurn) {
   EXPECT_EQ(det.sent(), det.handled());
 }
 
-// --- ThreadMachine storms ----------------------------------------------------------------
+// --- MnMachine storms --------------------------------------------------------------------
 
 struct StormClient : am::NodeClient {
-  am::ThreadMachine* m = nullptr;
+  am::MnMachine* m = nullptr;
   NodeId self = 0;
   std::uint64_t seed = 0;
   std::uint64_t handled = 0;
@@ -195,12 +196,12 @@ struct StormClient : am::NodeClient {
 // N nodes x M seed packets, each relayed TTL times to random destinations
 // (including self-sends). Exact conservation: every hop is handled exactly
 // once and the machine quiesces with balanced epoch counters.
-TEST(ThreadMachineStress, RandomRelayStormConservesPackets) {
+TEST(MnMachineStress, RandomRelayStormConservesPackets) {
   constexpr NodeId kNodes = 8;
   constexpr std::uint64_t kSeedsPerNode = 40;
   constexpr std::uint64_t kTtl = 24;
 
-  am::ThreadMachine m(kNodes, am::CostModel::zero());
+  am::MnMachine m(kNodes, am::CostModel::zero());
   std::vector<StormClient> clients(kNodes);
   for (NodeId n = 0; n < kNodes; ++n) {
     clients[n].m = &m;
@@ -223,15 +224,18 @@ TEST(ThreadMachineStress, RandomRelayStormConservesPackets) {
   std::uint64_t total = 0;
   for (const auto& c : clients) total += c.handled;
   EXPECT_EQ(total, kNodes * kSeedsPerNode * (kTtl + 1));
-  EXPECT_EQ(m.packets_sent(), m.packets_handled());
+  EXPECT_EQ(m.units_sent(), m.units_handled());
   EXPECT_EQ(m.tokens(), 0u);
 }
 
-// An empty machine must quiesce immediately (event-driven: the last node to
-// deactivate detects termination; nobody sleeps through it, nobody polls).
-TEST(ThreadMachineStress, EmptyMachineQuiescesImmediately) {
+// An empty machine must quiesce immediately (event-driven: the last worker
+// to deactivate detects termination; nobody sleeps through it, nobody
+// polls). The epochs are not zero: they also count run tokens, and the
+// priming sweep schedules every node once. So the check is that no client
+// saw a packet and every unit sent was handled.
+TEST(MnMachineStress, EmptyMachineQuiescesImmediately) {
   for (NodeId nodes : {1u, 2u, 7u}) {
-    am::ThreadMachine m(nodes, am::CostModel::zero());
+    am::MnMachine m(nodes, am::CostModel::zero());
     std::vector<StormClient> clients(nodes);
     for (NodeId n = 0; n < nodes; ++n) {
       clients[n].m = &m;
@@ -239,16 +243,17 @@ TEST(ThreadMachineStress, EmptyMachineQuiescesImmediately) {
       m.attach(n, &clients[n]);
     }
     m.run();
-    EXPECT_EQ(m.packets_sent(), 0u);
+    for (const StormClient& c : clients) EXPECT_EQ(c.handled, 0u);
+    EXPECT_EQ(m.units_sent(), m.units_handled());
   }
 }
 
 // Termination detection has historically been the flakiest part of thread
 // runtimes (lost wakeups show up one run in thousands): many short runs in
 // a row catch what one long run cannot.
-TEST(ThreadMachineStress, RepeatedShortRunsAlwaysTerminate) {
+TEST(MnMachineStress, RepeatedShortRunsAlwaysTerminate) {
   for (int round = 0; round < 50; ++round) {
-    am::ThreadMachine m(4, am::CostModel::zero());
+    am::MnMachine m(4, am::CostModel::zero());
     std::vector<StormClient> clients(4);
     for (NodeId n = 0; n < 4; ++n) {
       clients[n].m = &m;
@@ -272,7 +277,7 @@ TEST(ThreadMachineStress, RepeatedShortRunsAlwaysTerminate) {
 // --- Randomized bulk transfers under preemption ---------------------------------------
 
 struct BulkStressHarness {
-  am::ThreadMachine machine;
+  am::MnMachine machine;
   struct Client : am::NodeClient {
     am::BulkChannel* channel = nullptr;
     std::map<std::uint64_t, Bytes> delivered;  // tag -> data
@@ -318,7 +323,7 @@ Bytes stress_pattern(std::size_t n, std::uint64_t salt) {
 // Randomized sizes — heavy on the zero-size and chunk-boundary cases — from
 // every node to every other node with flow control on, so grant queues build
 // up and drain while unrelated DATA streams interleave.
-TEST(ThreadMachineStress, RandomizedBulkTransfersAreByteExact) {
+TEST(MnMachineStress, RandomizedBulkTransfersAreByteExact) {
   constexpr NodeId kNodes = 4;
   constexpr int kPerSender = 24;
   const std::size_t size_classes[] = {0, 1, 100, 0, 4095, 4096, 4097, 0,
@@ -401,14 +406,14 @@ class StressDriver : public ActorBase {
   inline static std::atomic<std::int64_t> sent_adds{0};
 };
 
-// Migration storm under ThreadMachine with the load balancer on: hop-heavy
+// Migration storm under MnMachine with the load balancer on: hop-heavy
 // traffic forces FIR chases and forwarding chains while steals relocate the
 // receivers underneath them. Exactly-once delivery must survive all of it.
-TEST(ThreadMachineStress, MigrationStormWithLoadBalancer) {
+TEST(MnMachineStress, MigrationStormWithLoadBalancer) {
   constexpr NodeId kNodes = 6;
   RuntimeConfig cfg;
   cfg.nodes = kNodes;
-  cfg.machine = MachineKind::kThread;
+  cfg.machine = MachineKind::kMn;
   cfg.load_balancing = true;
   cfg.seed = 0x57de55;
   Runtime rt(cfg);

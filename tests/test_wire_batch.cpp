@@ -5,16 +5,16 @@
 // loss), liveness (held frames force-flush at quiescence instead of waiting
 // out the holdoff), and config validation.
 //
-// Suite names contain "Fault" / "ThreadMachine" where the CI sanitizer jobs
-// should pick them up (-R 'Stress|ThreadMachine|Bulk|Fault').
+// Suite names contain "Fault" where the CI sanitizer jobs should pick them
+// up (-R 'Stress|MnMachine|Bulk|Fault').
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "am/wire_batch.hpp"
 #include "runtime/api.hpp"
 
@@ -169,8 +169,8 @@ TEST(WireBatchFault, SimCoalescedFramesExactlyOnceInOrderUnderLoss) {
   EXPECT_GE(s.retransmits, s.drops_injected);
 }
 
-TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
-  am::ThreadMachine machine(2, am::CostModel::cm5());
+TEST(WireBatchFault, MnMachineCoalescedFramesSurviveLoss) {
+  am::MnMachine machine(2, am::CostModel::cm5());
   RecordingClient clients[2];
   machine.attach(0, &clients[0]);
   machine.attach(1, &clients[1]);
@@ -193,7 +193,7 @@ TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
 
 TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
   // A holdoff far beyond any reasonable run: if quiescence had to wait out
-  // the timer, Sim's makespan would blow up (and ThreadMachine below would
+  // the timer, Sim's makespan would blow up (and MnMachine below would
   // stall for wall-clock seconds). The busy->idle flush must ship the held
   // frames instead.
   RuntimeConfig cfg;
@@ -209,9 +209,9 @@ TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
   EXPECT_LT(r.report.makespan_ns, cfg.batching.holdoff_ns);
 }
 
-TEST(WireBatchFault, ThreadMachineIdleFlushTerminatesWithHugeHoldoff) {
+TEST(WireBatchFault, MnMachineIdleFlushTerminatesWithHugeHoldoff) {
   RuntimeConfig cfg;
-  cfg.machine = MachineKind::kThread;
+  cfg.machine = MachineKind::kMn;
   cfg.batching.holdoff_ns = 5'000'000'000;
   cfg.batching.holdoff_max_ns = 5'000'000'000;
   cfg.batching.adaptive = false;

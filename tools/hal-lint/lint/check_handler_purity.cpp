@@ -15,7 +15,7 @@
 // Reachability is a bare-name call closure over the scanned sources: a
 // call resolves to every scanned function with the same bare name, which
 // over-approximates in favour of finding violations. The closure stops at
-// the transport boundary (ThreadMachine / SimMachine own their internal
+// the transport boundary (MnMachine / SimMachine own their internal
 // synchronisation), at baseline/ comparators and the lang/ interpreter
 // (sanctioned slow paths), and does not traverse names too generic to
 // resolve (kCommonVocabulary below).
@@ -44,8 +44,7 @@ bool path_contains(const FunctionDecl& fn, std::string_view needle) {
 }
 
 bool boundary_function(const FunctionDecl& fn) {
-  if (in_set(fn.class_name,
-             {"ThreadMachine", "SimMachine", "MnMachine", "NodeExecutor"})) {
+  if (in_set(fn.class_name, {"SimMachine", "MnMachine", "NodeExecutor"})) {
     return true;
   }
   // baseline/ comparators are measured against HAL, not part of it;

@@ -2,8 +2,8 @@
 // RMW wakeup handshake must re-arm the park flag before EVERY predicate
 // evaluation, not once before the first wait.
 //
-// The contract is the PR 8 lost-wakeup fix (proof at
-// ThreadMachine::raw_push): the Vyukov MPSC queue's empty() can read true
+// The contract is the lost-wakeup fix in the MPSC park loops (proof in
+// am/park_handshake.hpp): the Vyukov MPSC queue's empty() can read true
 // over a COMPLETED push while another producer's push is half-finished, so
 // a sleeper that re-checks "empty" after a wakeup without re-arming
 // `sleeping` races the gap-closing producer — that producer reads the flag

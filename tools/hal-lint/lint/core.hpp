@@ -8,10 +8,6 @@
 // definitions, call expressions, lambdas. That subset is enough to state
 // the five contracts precisely; anything the parser cannot classify is
 // skipped, never guessed at.
-//
-// An optional Clang LibTooling front end (tools/hal-lint/clang/) re-states
-// the declarative checks over a full AST; it is CMake-gated on
-// find_package(Clang) because the pinned container ships no Clang dev kit.
 #pragma once
 
 #include <cstdint>

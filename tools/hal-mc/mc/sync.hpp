@@ -2,8 +2,8 @@
 // scenarios.
 //
 //   * mc::Mutex / mc::CondVar mirror std::mutex / std::condition_variable
-//     closely enough that scenario code can reproduce the ThreadMachine
-//     park shape verbatim (std::unique_lock<mc::Mutex> works — BasicLockable).
+//     closely enough that scenario code can reproduce the MnMachine park
+//     shape verbatim (std::unique_lock<mc::Mutex> works — BasicLockable).
 //     The model cv never wakes spuriously and notifies FIFO, so a lost
 //     wakeup manifests deterministically as a reported deadlock instead of
 //     a hang.

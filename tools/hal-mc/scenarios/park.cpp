@@ -1,5 +1,5 @@
 // Scenarios: the park/wake handshake (am/park_handshake.hpp) around a
-// Vyukov MPSC inbox — the ThreadMachine::park / raw_push protocol.
+// Vyukov MPSC inbox — the MnMachine::park / wake_worker protocol.
 //
 // park_wakeup is the production shape: the consumer re-arms before EVERY
 // predicate evaluation; a producer that claims the wake takes the mutex
@@ -53,7 +53,7 @@ void producer(const std::shared_ptr<ParkState>& st, std::uint64_t i) {
   st->q.push(i);
   if (st->hs.claim_wake()) {
     // The lock is what keeps this notify from landing between the
-    // consumer's predicate check and its wait (ThreadMachine::raw_push).
+    // consumer's predicate check and its wait (am/park_handshake.hpp).
     st->mx.lock();
     st->mx.unlock();
     st->cv.notify_one();
