@@ -88,7 +88,7 @@ class NodeClient {
 class Machine {
  public:
   Machine(NodeId nodes, CostModel costs)
-      : clients_(nodes, nullptr), costs_(costs) {
+      : clients_(nodes, nullptr), costs_(costs), tokens_(nodes) {
     HAL_ASSERT(nodes >= 1);
   }
   virtual ~Machine() = default;
@@ -152,11 +152,14 @@ class Machine {
   // --- Global work hint ----------------------------------------------------
   // Front-end service standing in for the global progress information a
   // receiver-initiated load balancer needs (Kumar et al. pair random polling
-  // with a separate termination detector): the total number of dispatcher
-  // items queued or executing across all nodes. Idle nodes keep polling only
-  // while this is positive, which keeps an idle machine quiescent without
-  // giving up continuous polling during computation. The kernel counts items
-  // only when the balancer is on; otherwise the hint stays 0.
+  // with a separate termination detector): the number of nodes with
+  // dispatcher items queued or executing. Idle nodes keep polling only while
+  // this is positive, which keeps an idle machine quiescent without giving
+  // up continuous polling during computation. Each kernel counts its own
+  // items and adds ±1 here only when that count crosses zero, so the shared
+  // line sees two RMWs per busy period of a node, not two per item. The
+  // kernel keeps the count only when the balancer is on; otherwise the hint
+  // stays 0.
   void work_hint_add(std::int64_t delta) noexcept {
     const std::int64_t prev =
         work_hint_.fetch_add(delta, std::memory_order_acq_rel);
@@ -174,15 +177,32 @@ class Machine {
   // every unit of outstanding work the machine cannot see (e.g. a parked
   // message awaiting FIR resolution). run() does not return while tokens
   // are outstanding.
-  void token_acquire(std::uint64_t k = 1) noexcept {
-    tokens_.fetch_add(k, std::memory_order_acq_rel);
+  //
+  // Every acquire/release pair lives on one node (joins are filled where
+  // they were made; parked and awaiting messages are node-local), so each
+  // node counts its own tokens on a cache line no other node writes, with a
+  // plain load and store from its execution stream. Relaxed suffices: the
+  // run-token handoff orders a node's successive owners, and the detector
+  // reads the sum only after its scan acquired every worker's deactivate.
+  void token_acquire(NodeId node, std::uint64_t k = 1) noexcept {
+    std::atomic<std::uint64_t>& held = tokens_[node].held;
+    held.store(held.load(std::memory_order_relaxed) + k,
+               std::memory_order_relaxed);
   }
-  void token_release(std::uint64_t k = 1) noexcept {
-    const auto prev = tokens_.fetch_sub(k, std::memory_order_acq_rel);
+  void token_release(NodeId node, std::uint64_t k = 1) noexcept {
+    std::atomic<std::uint64_t>& held = tokens_[node].held;
+    const std::uint64_t prev = held.load(std::memory_order_relaxed);
     HAL_ASSERT(prev >= k);
+    held.store(prev - k, std::memory_order_relaxed);
   }
+  /// Tokens held machine-wide. Exact only while no node runs: MnMachine's
+  /// detector reads it inside its stable window, SimMachine after run().
   std::uint64_t tokens() const noexcept {
-    return tokens_.load(std::memory_order_acquire);
+    std::uint64_t sum = 0;
+    for (const TokenCount& t : tokens_) {
+      sum += t.held.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
 
   // --- Fault plane / reliable link -----------------------------------------
@@ -309,15 +329,24 @@ class Machine {
   void emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
                   NodeId dst, FlushCause cause);
 
+  /// One node's work-token count, on a cache line of its own.
+  struct alignas(64) TokenCount {
+    std::atomic<std::uint64_t> held{0};
+  };
+
   std::vector<NodeClient*> clients_;
   CostModel costs_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> tokens_{0};
-  std::atomic<std::int64_t> work_hint_{0};
+  std::vector<TokenCount> tokens_;
   std::vector<std::unique_ptr<LinkEndpoint>> links_;
   FaultConfig faults_{};
   std::vector<std::unique_ptr<WireAggregator>> wire_;
   BatchConfig batch_{};
+  // Any worker may write these (stop() once, the hint on a node's 0<->1
+  // edges) and every worker polls stop_ while it searches: a line each, so
+  // no write invalidates the read-mostly fields above or a derived
+  // machine's members below.
+  alignas(64) std::atomic<bool> stop_{false};
+  alignas(64) std::atomic<std::int64_t> work_hint_{0};
 };
 
 }  // namespace hal::am

@@ -47,8 +47,7 @@ MnMachine::MnMachine(NodeId nodes, CostModel costs, std::uint32_t workers)
       workers_n_(clamp_workers(workers, nodes)),
       max_searchers_(std::max<std::uint32_t>(1, workers_n_ / 2)),
       slots_(nodes),
-      exec_(*this, /*participants=*/clamp_workers(workers, nodes),
-            /*mailboxes=*/true),
+      exec_(*this, /*participants=*/workers_n_, /*mailboxes=*/true),
       epoch_(std::chrono::steady_clock::now()) {
   for (NodeId n = 0; n < nodes; ++n) {
     slots_[n].id = n;
@@ -122,7 +121,7 @@ void MnMachine::post_and_schedule(Packet p) {
   // Mailbox push first (with its note_sent), then the run token: a consumer
   // that acquires the token is guaranteed to see the packet.
   const NodeId dst = p.dst;
-  exec_.post(std::move(p));
+  exec_.post(std::move(p), participant());
   schedule(dst);
 }
 
@@ -148,7 +147,7 @@ void MnMachine::enqueue(NodeSlot& s) {
   // before the token becomes visible, note_handled when its quantum ends
   // (run_node). sent == handled therefore proves no token hides in any run
   // queue — the detector's double scan stays exact at P >> N.
-  exec_.detector().note_sent();
+  exec_.detector().note_sent(participant());
   const int self = tl_worker_;
   if (self >= 0) {
     // On-pool: keep the node where its traffic originates (locality);
@@ -211,6 +210,21 @@ void MnMachine::wake_hook() noexcept {
   }
 }
 
+std::uint64_t MnMachine::steals() const noexcept {
+  std::uint64_t sum = 0;
+  for (const auto& rec : workers_) {
+    sum += rec->steals.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+void MnMachine::count_steal(WorkerRec& rec) noexcept {
+  // Only the owning worker writes its count: a plain load and store on its
+  // own line, not an RMW on a line every thief shares.
+  rec.steals.store(rec.steals.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+}
+
 MnMachine::NodeSlot* MnMachine::next_runnable(WorkerRec& rec) {
   // Tokens injected off-pool surface into the owner's deque first so they
   // become stealable like everything else.
@@ -226,14 +240,14 @@ MnMachine::NodeSlot* MnMachine::next_runnable(WorkerRec& rec) {
           static_cast<std::uint32_t>(rec.rng.below(workers_n_));
       if (v == rec.index) continue;
       if (NodeSlot* s = workers_[v]->local.steal_top()) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        count_steal(rec);
         return s;
       }
     }
     for (std::uint32_t v = 0; v < workers_n_; ++v) {
       if (v == rec.index) continue;
       if (NodeSlot* s = workers_[v]->local.steal_top()) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        count_steal(rec);
         return s;
       }
     }
@@ -267,7 +281,7 @@ MnMachine::NodeSlot* MnMachine::search(WorkerRec& rec) {
   return found;
 }
 
-void MnMachine::run_node(NodeSlot& s) {
+void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
   const NodeId n = s.id;
   s.token.begin_quantum();
   bool more;
@@ -278,7 +292,7 @@ void MnMachine::run_node(NodeSlot& s) {
     // over race-free.
     check::ScopedExecutionNode scope(n);
     NodeClient& c = client(n);
-    const std::size_t drained = exec_.drain(n, *this, kDrainQuantum);
+    const std::size_t drained = exec_.drain(n, *this, w, kDrainQuantum);
     const std::size_t stepped = exec_.step_quantum(n, kStepQuantum);
     if (drained + stepped > 0) s.idle_notified = false;
     // Holdoff expiry rides the node's own quantum (the frame owner's
@@ -337,7 +351,7 @@ void MnMachine::run_node(NodeSlot& s) {
     // CAS lost to kRunningNotified — see RunTokenCell): re-publish.
     enqueue(s);
   }
-  exec_.detector().note_handled();  // the run token this quantum consumed
+  exec_.detector().note_handled(w);  // the run token this quantum consumed
 }
 
 void MnMachine::sweep_home_nodes(WorkerRec& rec) {
@@ -441,7 +455,7 @@ void MnMachine::worker_loop(std::uint32_t w) {
     NodeSlot* s = next_runnable(rec);
     if (s == nullptr) s = search(rec);
     if (s != nullptr) {
-      run_node(*s);
+      run_node(*s, w);
       continue;
     }
 

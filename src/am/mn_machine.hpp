@@ -24,10 +24,11 @@
 //     retransmission timers, then requeue if work remains — round-robin
 //     fairness among runnable nodes at P >> N.
 //   * Termination reuses the TerminationDetector double scan with the N
-//     workers as participants. The sent/handled epochs count *both* physical
-//     packets and run tokens, so sent == handled proves no packet hides in
-//     any mailbox AND no runnable node hides in any queue; in-progress
-//     quanta are covered by the running worker being active.
+//     workers as participants; each worker counts its epochs on its own
+//     shard. The sent/handled epochs count *both* physical packets and run
+//     tokens, so sent == handled proves no packet hides in any mailbox AND
+//     no runnable node hides in any queue; in-progress quanta are covered
+//     by the running worker being active.
 //   * Under fault injection, nodes holding unacked retransmit masters
 //     publish their next deadline into a shared timer table; a worker that
 //     would otherwise deactivate instead stays *active* and parks with that
@@ -72,8 +73,8 @@ class MnMachine final : public Machine, private LinkSink {
   // machine itself lives in RunTokenCell (am/run_token.hpp, protocol
   // `run_tokens`) and the park flag in ParkHandshake (am/park_handshake.hpp,
   // protocol `park_handshake`); what remains here is the scheduler fabric:
-  // wake_epoch_ publishes seq_cst / reads acquire, and the steal, sleeper
-  // and searcher counts are advisory relaxed counters.
+  // wake_epoch_ publishes seq_cst / reads acquire, and the sleeper and
+  // searcher counts are advisory relaxed counters.
   HAL_MEMORY_PROTOCOL("mn_scheduler");
 
  public:
@@ -91,16 +92,15 @@ class MnMachine final : public Machine, private LinkSink {
   /// clock sleep would only slow the soak): the knob is scrubbed here.
   void configure_faults(const FaultConfig& cfg) override;
 
-  /// Epoch counters (stress tests, stats). These count packets *and* run
-  /// tokens — see the termination note above.
+  /// Epoch counters summed over the workers' shards (stress tests, stats).
+  /// These count packets *and* run tokens — see the termination note above.
   std::uint64_t units_sent() const noexcept { return exec_.detector().sent(); }
   std::uint64_t units_handled() const noexcept {
     return exec_.detector().handled();
   }
-  /// Run tokens taken from another worker's deque (scheduling diagnostics).
-  std::uint64_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Run tokens taken from another worker's deque, summed over the
+  /// workers (scheduling diagnostics).
+  std::uint64_t steals() const noexcept;
   /// Wake epochs bumped by wake_hook: one per stop() and per 0→1 edge of
   /// the balancer's work hint (scheduling diagnostics).
   std::uint64_t wake_epoch() const noexcept {
@@ -137,9 +137,13 @@ class MnMachine final : public Machine, private LinkSink {
     WsDeque<NodeSlot> local HAL_EPOCH_COUNTED;   // owner bottom, thieves top
     MpscQueue<NodeId> inject HAL_EPOCH_COUNTED;  // off-pool token handoff
     Xoshiro256 rng;               // steal-victim selection
+    // Tokens this worker stole; only this worker writes it (count_steal).
+    std::atomic<std::uint64_t> steals{0};
     std::uint64_t sweep_epoch = ~std::uint64_t{0};  // forces the first sweep
     bool primed = false;          // first sweep schedules every home node
-    std::mutex mutex;
+    // Wake plumbing, written by whoever wakes this worker: it starts a line
+    // of its own, apart from the worker-private fields above.
+    alignas(64) std::mutex mutex;
     std::condition_variable cv;
     std::uint64_t wake_gen = 0;   // guarded by mutex; bumped by wake_hook
     // The seq_cst RMW wake handshake (proof in am/park_handshake.hpp);
@@ -155,8 +159,8 @@ class MnMachine final : public Machine, private LinkSink {
   /// correctness against the MPSC queue's unreachable-suffix window (proof
   /// in am/park_handshake.hpp).
   void park(WorkerRec& rec, std::uint64_t gen, SimTime deadline);
-  /// Execute one quantum for the node whose token we hold.
-  void run_node(NodeSlot& slot);
+  /// Execute one quantum, as worker `w`, for the node whose token we hold.
+  void run_node(NodeSlot& slot, std::uint32_t w);
   /// A unit of work became visible on `node`: publish a run token if none
   /// is pending (Idle→Queued), or flag the current quantum to requeue.
   void schedule(NodeId node);
@@ -170,6 +174,12 @@ class MnMachine final : public Machine, private LinkSink {
   /// early on stop or a new wake epoch; nullptr means take the idle path.
   NodeSlot* search(WorkerRec& rec);
   void post_and_schedule(Packet p);
+  /// The calling thread's detector participant: its worker index on-pool,
+  /// 0 off-pool (the bootstrap thread before run()).
+  static std::uint32_t participant() noexcept {
+    return tl_worker_ < 0 ? 0 : static_cast<std::uint32_t>(tl_worker_);
+  }
+  static void count_steal(WorkerRec& rec) noexcept;
   void wake_worker(WorkerRec& rec) noexcept;
   /// Best-effort: rouse one parked worker to come steal, unless a searcher
   /// will (pure throughput — correctness never depends on a thief wake).
@@ -201,19 +211,14 @@ class MnMachine final : public Machine, private LinkSink {
   std::vector<NodeSlot> slots_;
   std::vector<std::unique_ptr<WorkerRec>> workers_;
   NodeExecutor exec_;  // mailboxes, epochs, demux (shared node-stepping core)
-  // now() reads clock_ (calibrated TSC, ~7 ns); epoch_ anchors the cv
-  // wait_until deadlines in steady_clock terms. The two clocks' sub-µs
-  // offset/drift only shifts when a timed park *wakes*; due-ness is always
-  // re-checked against clock_, so timers never fire early.
+  // now() reads clock_ (calibrated TSC; perfbench's ledger entry
+  // am.clock_now_ns measured 20-27 ns per read on a 4-vCPU Xeon VM, GCC
+  // 12.2 Release); epoch_ anchors the cv wait_until deadlines in
+  // steady_clock terms. The two clocks' sub-µs offset/drift only shifts
+  // when a timed park *wakes*; due-ness is always re-checked against
+  // clock_, so timers never fire early.
   FastClock clock_;
   std::chrono::steady_clock::time_point epoch_;
-  // Bumped by wake_hook: idle nodes re-run on_idle once per epoch so the
-  // load balancer re-polls when the work hint turns positive, without a
-  // wake per node.
-  std::atomic<std::uint64_t> wake_epoch_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint32_t> sleepers_{0};   // gate for maybe_wake_thief
-  std::atomic<std::uint32_t> searchers_{0};  // workers inside search()
   // Link retransmission deadlines of nodes with unacked masters. Guarded by
   // timers_mutex_; touched only off the message fast path (end of quantum
   // under faults, worker idle transitions).
@@ -223,6 +228,15 @@ class MnMachine final : public Machine, private LinkSink {
   // re-run (NodeClient::service_deadline). Same guard and access pattern as
   // the link-timer table above.
   std::map<NodeId, SimTime> service_deadlines_;
+  // Shared scheduler counters, a cache line each: every searching worker
+  // polls wake_epoch_, and idle transitions write sleepers_ and searchers_,
+  // so none may share a line with another or with the fields above.
+  // wake_epoch_ is bumped by wake_hook: idle nodes re-run on_idle once per
+  // epoch so the load balancer re-polls when the work hint turns positive,
+  // without a wake per node.
+  alignas(64) std::atomic<std::uint64_t> wake_epoch_{0};
+  alignas(64) std::atomic<std::uint32_t> sleepers_{0};   // thief-wake gate
+  alignas(64) std::atomic<std::uint32_t> searchers_{0};  // inside search()
 
   static thread_local int tl_worker_;  // index into workers_, -1 off-pool
 

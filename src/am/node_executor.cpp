@@ -30,16 +30,17 @@ void NodeExecutor::dispatch(NodeId node, Packet p, LinkSink& sink) {
   }
 }
 
-void NodeExecutor::post(Packet p) {
+void NodeExecutor::post(Packet p, std::uint32_t who) {
   const NodeId dst = p.dst;
   // Epoch order matters for termination detection: the send must be counted
   // before the packet becomes visible, so a checker that reads
   // sent == handled knows no packet is hiding in a queue.
-  detector_.note_sent();
+  detector_.note_sent(who);
   mailboxes_[dst]->push(std::move(p));
 }
 
-std::size_t NodeExecutor::drain(NodeId node, LinkSink& sink, std::size_t max) {
+std::size_t NodeExecutor::drain(NodeId node, LinkSink& sink,
+                                std::uint32_t who, std::size_t max) {
   MpscQueue<Packet>& q = *mailboxes_[node];
   std::size_t done = 0;
   while (done < max) {
@@ -48,7 +49,7 @@ std::size_t NodeExecutor::drain(NodeId node, LinkSink& sink, std::size_t max) {
     dispatch(node, std::move(*p), sink);
     // The handled epoch counts the *physical* packet regardless of whether
     // the link layer suppressed it as a duplicate — symmetric with post().
-    detector_.note_handled();
+    detector_.note_handled(who);
     ++done;
   }
   return done;

@@ -50,11 +50,13 @@ class NodeExecutor {
 
   // --- Mailbox plane (queue-based machines only) --------------------------
 
-  /// Publish one physical packet: count it in the sent epoch *before* the
-  /// push (the detector's double scan needs sent == handled to prove no
-  /// packet hides in a queue), then push it into the destination mailbox.
-  /// Any wakeup handshake stays with the caller — it is scheduling policy.
-  void post(Packet p);
+  /// Publish one physical packet: count it in participant `who`'s sent
+  /// epoch *before* the push (the detector's double scan needs
+  /// sent == handled to prove no packet hides in a queue), then push it
+  /// into the destination mailbox. `who` is the calling worker (0 for the
+  /// bootstrap thread). Any wakeup handshake stays with the caller — it is
+  /// scheduling policy.
+  void post(Packet p, std::uint32_t who);
 
   /// Exact from the consuming stream when false; may race when true.
   bool mailbox_empty(NodeId node) const {
@@ -62,9 +64,9 @@ class NodeExecutor {
   }
 
   /// Pop and dispatch up to `max` packets from `node`'s mailbox, counting
-  /// each in the handled epoch (physical packets, symmetric with post()).
-  /// Returns the number of packets processed.
-  std::size_t drain(NodeId node, LinkSink& sink,
+  /// each in participant `who`'s handled epoch (physical packets, symmetric
+  /// with post()). Returns the number of packets processed.
+  std::size_t drain(NodeId node, LinkSink& sink, std::uint32_t who,
                     std::size_t max = std::numeric_limits<std::size_t>::max());
 
   /// Run NodeClient::step() until it reports no work, up to `max` times.

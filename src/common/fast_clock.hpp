@@ -1,11 +1,15 @@
 // Cheap nanosecond clock for the wall-clock machine.
 //
 // MnMachine stamps every packet and brackets every method execution with a
-// clock read; through the vDSO, steady_clock::now() costs ~25-30 ns — a
-// third of the whole per-message delivery path once batching has amortized
-// the queue and wake costs. On x86-64 with an invariant TSC
-// (constant_tsc + nonstop_tsc, universal on anything this decade), a
-// calibrated rdtsc gives the same nanoseconds-since-epoch reading in ~7 ns.
+// clock read; through the vDSO, steady_clock::now() cost ~25-30 ns on the
+// host this clock was written for — a third of the whole per-message
+// delivery path once batching has amortized the queue and wake costs. On
+// x86-64 with an invariant TSC (constant_tsc + nonstop_tsc, universal on
+// anything this decade), a calibrated rdtsc gives the same
+// nanoseconds-since-epoch reading without the vDSO. What a read costs
+// depends on the host: perfbench's ledger entry am.clock_now_ns measured
+// 20-27 ns on a 4-vCPU Xeon VM (GCC 12.2, Release), so measure it there
+// rather than trust a fixed figure.
 //
 // The cycles-per-nanosecond ratio is calibrated once per process against
 // steady_clock (a ~2 ms busy window, amortized across every machine the

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -26,7 +25,8 @@ template <typename T, typename Policy = StdAtomics>
 class MpscQueue {
   // Memory-order contract checked by hal-lint HL007 (docs/linting.md):
   // push = head_.exchange(acq_rel) + next.store(release); pop/empty =
-  // next.load(acquire); size_ is an advisory relaxed counter.
+  // next.load(acquire). Producers write only head_ and their own node;
+  // the consumer writes only tail_.
   HAL_MEMORY_PROTOCOL("mpsc_queue");
 
   // pop() moves out of next->value before advancing tail_; if that move
@@ -58,7 +58,6 @@ class MpscQueue {
   /// Push from any thread. Wait-free except for the allocation.
   void push(T value) {
     Node* node = new Node{std::move(value)};
-    size_.fetch_add(1, std::memory_order_relaxed);
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
   }
@@ -71,7 +70,6 @@ class MpscQueue {
     std::optional<T> out(std::move(next->value));
     tail_ = next;
     delete tail;
-    size_.fetch_sub(1, std::memory_order_relaxed);
     return out;
   }
 
@@ -88,13 +86,6 @@ class MpscQueue {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
   }
 
-  /// Approximate element count: racy snapshot for stress tests and stats.
-  /// Exact once producers and the consumer are quiescent; may transiently
-  /// overshoot while a push is mid-flight (counted before linked).
-  std::size_t approx_size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-
  private:
   template <typename U>
   using Atomic = typename Policy::template Atomic<U>;
@@ -106,7 +97,6 @@ class MpscQueue {
 
   alignas(64) Atomic<Node*> head_;  // producers CAS here
   alignas(64) Node* tail_;          // consumer-private
-  alignas(64) Atomic<std::size_t> size_{0};
 };
 
 }  // namespace hal

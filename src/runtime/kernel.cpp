@@ -122,8 +122,9 @@ bool Kernel::step() {
     return false;
   }
   ++dispatch_batch_len_;
-  // The work hint counts this item until processing *completes*, so idle
-  // nodes keep polling while a long method is generating more work.
+  // The balancer's count holds this item until processing *completes*, so
+  // the node stays busy in the work hint and idle nodes keep polling while
+  // a long method is generating more work.
   if (item->kind == Dispatcher::Item::Kind::kActor) {
     ActorRecord* rec = actors_.try_get(item->actor);
     if (rec == nullptr || rec->mailbox.empty()) {
@@ -138,7 +139,7 @@ bool Kernel::step() {
     // max_msgs round trips through the ready queue). `scheduled` stays true
     // for the whole burst, so post_method's re-schedule and any deliveries
     // the methods trigger early-out instead of queueing duplicate items;
-    // the per-message dispatcher push/pop and the shared work-hint RMWs
+    // the per-message dispatcher push/pop and the balancer's item count
     // collapse to one pair per burst. The cap keeps other actors' latency
     // bounded — same fairness shape as the frame size cap on the wire.
     dispatcher_.begin_item();
@@ -174,8 +175,16 @@ void Kernel::balancer_hint_add(std::int64_t delta) {
   // The machine-wide work hint has one reader, the balancer (maybe_poll,
   // poll_resume_at, and the executors re-running idle nodes' on_idle when
   // the hint turns positive). Without it, keeping the count would cost a
-  // shared RMW per item and a wake_hook per 0→1 edge, for nothing.
-  if (config_.load_balancing) machine_.work_hint_add(delta);
+  // wake_hook per 0→1 edge, for nothing. The items are counted here, on
+  // the node's own stream; the shared hint counts busy nodes and moves only
+  // when this count crosses zero, so its sign — all the balancer reads —
+  // is the same as a machine-wide item count's at every instant.
+  if (!config_.load_balancing) return;
+  const bool was_busy = balancer_items_ != 0;
+  balancer_items_ += delta;
+  HAL_DASSERT(balancer_items_ >= 0);
+  const bool busy = balancer_items_ != 0;
+  if (busy != was_busy) machine_.work_hint_add(busy ? 1 : -1);
 }
 
 bool Kernel::has_work() const { return !dispatcher_.empty(); }
@@ -533,7 +542,7 @@ ContRef Kernel::make_join(std::uint32_t slot_count, JoinBody body,
   stats_.bump(Stat::kJoinContinuationsCreated);
   // A continuation that never completes is a protocol bug; hold a work
   // token so quiescence detection turns it into a loud failure.
-  machine_.token_acquire();
+  machine_.token_acquire(self_);
   return ContRef{self_, s, 0};
 }
 
@@ -578,7 +587,7 @@ void Kernel::fill_join(const ContRef& ref, std::uint64_t word, Bytes blob) {
   // Counter hit zero: run the compiled continuation body on this stream.
   JoinContinuation done = std::move(*jc);
   joins_.free(ref.jc);
-  machine_.token_release();
+  machine_.token_release(self_);
   probes_.record_span(obs::Probe::kJoinRoundTrip, done.created_at,
                       machine_.now(self_));
   trace_mark(trace::EventKind::kJoinFired, done.slot_count);
@@ -828,7 +837,7 @@ DrainStats Kernel::drain_in_flight() {
       pool_.release(std::move(b));
     }
     joins_.free(id);
-    machine_.token_release();
+    machine_.token_release(self_);
   }
   // NodeManager in-flight state: parked messages awaiting FIR responses and
   // the awaiting-registration / awaiting-group queues.

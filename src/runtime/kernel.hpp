@@ -304,8 +304,9 @@ class Kernel final : public am::NodeClient {
   void schedule(SlotId actor_slot);
   /// Enqueue a broadcast quantum for this node's group members.
   void schedule_quantum(GroupId gid, Message m);
-  /// Count dispatcher items in the machine's work hint — only when the
-  /// load balancer, its one reader, is on.
+  /// Count dispatcher items queued or executing on this node, and mark the
+  /// node busy or idle in the machine's work hint when the count crosses
+  /// zero — only when the load balancer, the hint's one reader, is on.
   void balancer_hint_add(std::int64_t delta);
   /// Execute one message body: build a Context, dispatch, apply `become`.
   void execute_message(SlotId actor_slot, Message& m);
@@ -341,6 +342,7 @@ class Kernel final : public am::NodeClient {
   std::uint32_t stack_depth_ = 0;
   SimTime frame_now_ = 0;  // nonzero only inside a frame-decode burst
   std::uint64_t dispatch_batch_len_ = 0;
+  std::int64_t balancer_items_ = 0;  // see balancer_hint_add
   std::uint64_t dead_letters_ = 0;
   std::array<std::uint64_t, static_cast<std::size_t>(DeadLetterCause::kCount)>
       dead_letter_causes_{};

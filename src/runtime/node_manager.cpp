@@ -92,7 +92,7 @@ void NodeManager::local_or_forward(Message m, NodeId src, bool had_hint) {
       // The message raced ahead of the creation request that carries this
       // alias (§5): hold it until the actor registers.
       k_.stats().bump(Stat::kMessagesParked);
-      k_.machine().token_acquire();
+      k_.machine().token_acquire(k_.self());
       await_reg_[m.dest].messages.push_back(std::move(m));
       return;
     }
@@ -137,7 +137,7 @@ void NodeManager::local_or_forward(Message m, NodeId src, bool had_hint) {
 void NodeManager::park(const MailAddress& addr, Message m, NodeId origin) {
   k_.trace_mark(trace::EventKind::kParked);
   k_.stats().bump(Stat::kMessagesParked);
-  k_.machine().token_acquire();
+  k_.machine().token_acquire(k_.self());
   parked_[addr].push_back(ParkedMessage{std::move(m), origin});
 }
 
@@ -181,7 +181,7 @@ void NodeManager::on_fir(const am::Packet& p) {
   if (!ds.valid()) {
     if (addr.alias && addr.created_on == k_.self()) {
       // FIR raced the creation request; answer once the actor registers.
-      k_.machine().token_acquire();
+      k_.machine().token_acquire(k_.self());
       await_reg_[addr].fir_origins.push_back(from);
       return;
     }
@@ -260,7 +260,7 @@ void NodeManager::location_learned(const MailAddress& addr, NodeId node,
     parked_.erase(it);
     std::vector<NodeId> taught;
     for (ParkedMessage& pm : msgs) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       pm.m.dest_desc_hint = {};
       // "Once the location is known, the original message is sent directly
       // to the node where the receiver resides."
@@ -408,7 +408,7 @@ void NodeManager::broadcast_deliver_local(GroupId gid, Message m) {
     k_.schedule_quantum(gid, std::move(m));
     return;
   }
-  k_.machine().token_acquire();
+  k_.machine().token_acquire(k_.self());
   await_group_[gid].push_back(PendingGroupOp{true, 0, std::move(m)});
 }
 
@@ -420,7 +420,7 @@ void NodeManager::member_deliver_local(GroupId gid, std::uint32_t index,
     k_.send_message(std::move(m));
     return;
   }
-  k_.machine().token_acquire();
+  k_.machine().token_acquire(k_.self());
   await_group_[gid].push_back(PendingGroupOp{false, index, std::move(m)});
 }
 
@@ -455,7 +455,7 @@ void NodeManager::group_registered(GroupId gid) {
   std::vector<PendingGroupOp> ops = std::move(it->second);
   await_group_.erase(it);
   for (PendingGroupOp& op : ops) {
-    k_.machine().token_release();
+    k_.machine().token_release(k_.self());
     if (op.is_broadcast) {
       broadcast_deliver_local(gid, std::move(op.m));
     } else {
@@ -479,7 +479,7 @@ void NodeManager::registered(const MailAddress& addr) {
     AwaitReg ar = std::move(it->second);
     await_reg_.erase(it);
     for (Message& m : ar.messages) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       m.dest_desc_hint = {};
       local_or_forward(std::move(m), kInvalidNode, false);
     }
@@ -487,7 +487,7 @@ void NodeManager::registered(const MailAddress& addr) {
       const SlotId ds = k_.names().resolve(addr);
       HAL_ASSERT(ds.valid());
       for (const NodeId n : ar.fir_origins) {
-        k_.machine().token_release();
+        k_.machine().token_release(k_.self());
         respond_fir(addr, ds, n);
       }
     }
@@ -496,7 +496,7 @@ void NodeManager::registered(const MailAddress& addr) {
     std::vector<ParkedMessage> msgs = std::move(it->second);
     parked_.erase(it);
     for (ParkedMessage& pm : msgs) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       pm.m.dest_desc_hint = {};
       k_.send_message(std::move(pm.m));
     }
@@ -692,7 +692,7 @@ void NodeManager::on_steal_request(const am::Packet& p) {
     k_.trace_mark(trace::EventKind::kStealServed, thief);
     ActorRecord* rec = k_.actor(*victim);
     rec->scheduled = false;
-    k_.machine().work_hint_add(-1);  // leaves this queue; re-counted on arrival
+    k_.balancer_hint_add(-1);  // leaves this queue; re-counted on arrival
     k_.perform_migration(*victim, thief);
     return;
   }
@@ -761,25 +761,25 @@ void NodeManager::drain_in_flight(DrainStats& out) {
   };
   for (auto& [addr, msgs] : parked_) {
     for (ParkedMessage& pm : msgs) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       retire(pm.m);
     }
   }
   parked_.clear();
   for (auto& [addr, ar] : await_reg_) {
     for (Message& m : ar.messages) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       retire(m);
     }
     // Unanswered FIRs hold a token each but carry no payload.
     for (std::size_t i = 0; i < ar.fir_origins.size(); ++i) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
     }
   }
   await_reg_.clear();
   for (auto& [gid, ops] : await_group_) {
     for (PendingGroupOp& op : ops) {
-      k_.machine().token_release();
+      k_.machine().token_release(k_.self());
       retire(op.m);
     }
   }

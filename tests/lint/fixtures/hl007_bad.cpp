@@ -36,14 +36,6 @@ class MpscQueue {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
   }
 
-  // A relaxed load feeding a control decision without an advisory entry.
-  std::uint64_t approx_size() const {
-    if (size_.load(std::memory_order_relaxed) == 0) {  // EXPECT: hal-memory-order-policy
-      return 0;
-    }
-    return size_.load(std::memory_order_relaxed);
-  }
-
   // These protocols model ordering as access orders (TSan-visible), never
   // as fences.
   void fence_creep() {
@@ -53,7 +45,24 @@ class MpscQueue {
  private:
   std::atomic<Node*> head_{nullptr};
   Node* tail_ = nullptr;
-  std::atomic<std::uint64_t> size_{0};
+};
+
+// A relaxed load feeding a control decision without an advisory entry:
+// search() may read searchers_ relaxed, but only maybe_wake_thief's reads
+// are advisory-listed.
+class MnMachine {
+  HAL_MEMORY_PROTOCOL("mn_scheduler");
+
+ public:
+  bool search() {
+    if (searchers_.load(std::memory_order_relaxed) != 0) {  // EXPECT: hal-memory-order-policy
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  std::atomic<std::uint32_t> searchers_{0};
 };
 
 // Marker naming a policy that does not exist in the table.

@@ -24,16 +24,11 @@ class MpscQueue {
   }
 
   void push(Node* n) {
-    size_.fetch_add(1, std::memory_order_relaxed);
     Node* prev = head_.exchange(n, std::memory_order_acq_rel);
     prev->next.store(n, std::memory_order_release);
   }
 
-  Node* pop() {
-    Node* next = tail_->next.load(std::memory_order_acquire);
-    if (next != nullptr) size_.fetch_sub(1, std::memory_order_relaxed);
-    return next;
-  }
+  Node* pop() { return tail_->next.load(std::memory_order_acquire); }
 
   bool empty() const {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
@@ -43,7 +38,6 @@ class MpscQueue {
   std::atomic<Node*> head_{nullptr};
   Node* tail_ = nullptr;
   Node stub_;
-  std::atomic<std::uint64_t> size_{0};
 };
 
 // Advisory reads: the (sleepers_, maybe_wake_thief) pair is allow-listed —

@@ -254,10 +254,10 @@ TEST(CheckProtocol, BulkCreditWindowUnderflowIsDetected) {
 TEST(CheckProtocol, TerminationCounterConservationIsDetected) {
   HandlerScope hs;
   TerminationDetector td(1);
-  td.note_sent();
-  td.note_handled();  // balanced
+  td.note_sent(0);
+  td.note_handled(0);  // balanced
   EXPECT_TRUE(g_violations.empty());
-  td.note_handled();  // handled (2) overtakes sent (1)
+  td.note_handled(0);  // handled (2) overtakes sent (1)
   ASSERT_EQ(g_violations.size(), 1u);
   const check::Violation& v = g_violations.front();
   EXPECT_EQ(v.kind, check::ViolationKind::kCounterConservation);
@@ -307,7 +307,7 @@ TEST(CheckCompiledOut, ViolatingSequencesRunSilently) {
   audit.note_grant();  // would underflow
 
   TerminationDetector td(1);
-  td.note_handled();  // would break conservation
+  td.note_handled(0);  // would break conservation
   EXPECT_EQ(td.handled(), 1u);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "runtime/api.hpp"
 
@@ -183,6 +184,25 @@ TEST(WorkHint, CountsTheExecutingItemWithABalancer) {
   // With the balancer the executing item counts until it completes, so
   // idle nodes keep polling while a long method is generating work.
   EXPECT_GT(hint_inside_a_method(/*load_balancing=*/true), 0);
+}
+
+TEST(WorkHint, CountsBusyNodesNotItems) {
+  // The hint counts nodes with queued or executing items: the first of
+  // three readers queued on node 1 runs while the other two wait, and reads
+  // one busy node, not three items. Each node touches the shared hint only
+  // when its own item count crosses zero.
+  RuntimeConfig cfg;
+  cfg.nodes = 2;
+  cfg.load_balancing = true;
+  Runtime rt(cfg);
+  rt.load<HintReader>();
+  std::vector<MailAddress> readers;
+  for (int i = 0; i < 3; ++i) readers.push_back(rt.spawn<HintReader>(1));
+  for (const MailAddress& a : readers) rt.inject<&HintReader::on_read>(a);
+  rt.run();
+  const HintReader* first = rt.find_behavior<HintReader>(readers.front());
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->seen, 1);
 }
 
 }  // namespace

@@ -376,8 +376,8 @@ TEST(MnMachineScale, TerminationDetectorHandlesSixteenThousandParticipants) {
   TerminationDetector det(16384);
   static_assert(sizeof(TerminationDetector) < 8192,
                 "detector memory must not scale with participant count");
-  det.note_sent();
-  det.note_handled();
+  det.note_sent(0);
+  det.note_handled(0);
   for (std::uint32_t i = 0; i < 16384; ++i) det.deactivate(i);
   EXPECT_EQ(det.check([] { return std::uint64_t{0}; }),
             TerminationDetector::Verdict::kQuiescent);

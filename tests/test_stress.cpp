@@ -9,6 +9,7 @@
 // of seconds even single-core and under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -58,7 +59,6 @@ TEST(MpscQueueStress, MultiProducerFifoPerProducer) {
   }
   EXPECT_FALSE(q.pop().has_value());
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.approx_size(), 0u);  // exact once both sides are quiescent
 }
 
 // --- TerminationDetector ---------------------------------------------------------------
@@ -72,8 +72,8 @@ TEST(TerminationDetector, ParticipantsStartActive) {
 
 TEST(TerminationDetector, QuiescentWhenAllIdleAndCountersBalance) {
   TerminationDetector det(3);
-  det.note_sent();
-  det.note_handled();
+  det.note_sent(0);
+  det.note_handled(0);
   for (std::uint32_t i = 0; i < 3; ++i) det.deactivate(i);
   EXPECT_TRUE(det.all_idle());
   EXPECT_EQ(det.check([] { return 0u; }),
@@ -82,14 +82,88 @@ TEST(TerminationDetector, QuiescentWhenAllIdleAndCountersBalance) {
 
 TEST(TerminationDetector, InFlightUnitBlocksQuiescence) {
   TerminationDetector det(2);
-  det.note_sent();  // published but never handled
+  det.note_sent(0);  // published but never handled
   det.deactivate(0);
   det.deactivate(1);
   EXPECT_EQ(det.check([] { return 0u; }),
             TerminationDetector::Verdict::kBusy);
-  det.note_handled();
+  det.note_handled(0);
   EXPECT_EQ(det.check([] { return 0u; }),
             TerminationDetector::Verdict::kQuiescent);
+}
+
+TEST(TerminationDetector, UnitSentOnOneShardHandledOnAnother) {
+  // Each participant counts on its own shard; the verdict sums them, so a
+  // unit sent on shard 0 stays in flight until shard 1 handles it.
+  TerminationDetector det(2);
+  det.note_sent(0);
+  det.deactivate(0);
+  det.deactivate(1);
+  EXPECT_EQ(det.check([] { return 0u; }),
+            TerminationDetector::Verdict::kBusy);
+  det.note_handled(1);
+  EXPECT_EQ(det.check([] { return 0u; }),
+            TerminationDetector::Verdict::kQuiescent);
+}
+
+// Units hop between four participants through MPSC inboxes, each sent on
+// its sender's shard and handled on another's, while idle participants run
+// check() in a loop. A kQuiescent verdict before the last handle would be
+// premature; the first one after it ends the run.
+TEST(TerminationDetector, ShardedEpochsNeverQuiescePrematurely) {
+  constexpr std::uint32_t kParticipants = 4;
+  constexpr std::uint64_t kChains = 4;
+  constexpr std::uint64_t kHops = 2000;
+  constexpr std::uint64_t kUnits = kChains * (kHops + 1);
+  TerminationDetector det(kParticipants);
+  std::array<MpscQueue<std::uint64_t>, kParticipants> inbox;
+  std::atomic<std::uint64_t> handled{0};
+  std::atomic<std::uint64_t> premature{0};
+  std::atomic<bool> done{false};
+  for (std::uint64_t c = 0; c < kChains; ++c) {
+    det.note_sent(0);  // bootstrap sends count on shard 0
+    inbox[c % kParticipants].push(kHops);
+  }
+  {
+    std::vector<std::jthread> participants;
+    for (std::uint32_t w = 0; w < kParticipants; ++w) {
+      participants.emplace_back([&, w] {
+        for (;;) {
+          while (auto hops = inbox[w].pop()) {
+            if (*hops > 0) {
+              // Never to itself: the handle lands on another shard.
+              const std::uint32_t to =
+                  (w + 1 + static_cast<std::uint32_t>(*hops % 3)) %
+                  kParticipants;
+              det.note_sent(w);
+              inbox[to].push(*hops - 1);
+            }
+            det.note_handled(w);
+            handled.fetch_add(1);
+          }
+          det.deactivate(w);
+          for (;;) {  // idle until a unit is published to us, or the end
+            if (det.check([] { return 0u; }) ==
+                TerminationDetector::Verdict::kQuiescent) {
+              if (handled.load() < kUnits) {
+                premature.fetch_add(1);
+              } else {
+                done.store(true);
+              }
+            }
+            if (done.load()) return;
+            if (!inbox[w].empty()) break;
+            std::this_thread::yield();
+          }
+          det.activate(w);
+        }
+      });
+    }
+  }  // join
+  EXPECT_EQ(premature.load(), 0u);
+  EXPECT_EQ(handled.load(), kUnits);
+  EXPECT_EQ(det.sent(), kUnits);
+  EXPECT_EQ(det.handled(), kUnits);
 }
 
 TEST(TerminationDetector, OutstandingTokensAreAStall) {
@@ -144,14 +218,14 @@ TEST(TerminationDetectorStress, NoFalseQuiescenceUnderChurn) {
     for (std::uint32_t w = 0; w < kWorkers; ++w) {
       workers.emplace_back([&det, &done, w] {
         for (int r = 0; r < kRounds; ++r) {
-          det.note_sent();  // publish one unit, then go idle with it
+          det.note_sent(w);  // publish one unit, then go idle with it
           det.deactivate(w);
           // (a real participant would sleep here until woken by the unit)
           det.activate(w);
-          det.note_handled();
+          det.note_handled(w);
         }
-        det.note_sent();
-        det.note_handled();
+        det.note_sent(w);
+        det.note_handled(w);
         done.fetch_add(1, std::memory_order_release);
         det.deactivate(w);  // final idle transition
       });

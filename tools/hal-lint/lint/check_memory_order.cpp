@@ -69,8 +69,7 @@ struct Policy {
 const std::vector<Policy>& policies() {
   static const std::vector<Policy> p = {
       // Vyukov MPSC: push publishes with head exchange (acq_rel) + next
-      // store (release); consumers read next with acquire. size_ is a
-      // relaxed statistic.
+      // store (release); consumers read next with acquire.
       {"mpsc_queue",
        "MpscQueue",
        false,
@@ -80,9 +79,6 @@ const std::vector<Policy>& policies() {
            {"next", "store", "push", {"release", "seq_cst"}},
            {"next", "load", "pop", {"acquire", "seq_cst"}},
            {"next", "load", "empty", {"acquire", "seq_cst"}},
-           {"size_", "fetch_add", "", {"relaxed"}},
-           {"size_", "fetch_sub", "", {"relaxed"}},
-           {"size_", "load", "", {"relaxed", "acquire", "seq_cst"}},
        },
        {
            {"push", "head_", "exchange", {"acq_rel", "seq_cst"}},
@@ -116,16 +112,16 @@ const std::vector<Policy>& policies() {
        },
        {}},
       // Termination epochs: the whole point is the seq_cst total order
-      // between epoch bumps and the detector's reads; only the ctor's
-      // pre-publication init may relax.
+      // between the shards' epoch bumps and the detector's reads; only the
+      // ctor's pre-publication init may relax.
       {"termination_epochs",
        "BasicTerminationDetector",
        false,
        {
-           {"sent_", "fetch_add", "", {"seq_cst"}},
-           {"sent_", "load", "", {"seq_cst"}},
-           {"handled_", "fetch_add", "", {"seq_cst"}},
-           {"handled_", "load", "", {"seq_cst"}},
+           {"sent", "fetch_add", "", {"seq_cst"}},
+           {"sent", "load", "", {"seq_cst"}},
+           {"handled", "fetch_add", "", {"seq_cst"}},
+           {"handled", "load", "", {"seq_cst"}},
            {"active", "fetch_add", "BasicTerminationDetector", {"relaxed",
                                                                 "seq_cst"}},
            {"active", "fetch_add", "activate", {"seq_cst"}},
@@ -133,8 +129,8 @@ const std::vector<Policy>& policies() {
            {"active", "load", "", {"seq_cst"}},
        },
        {
-           {"note_sent", "sent_", "fetch_add", {"seq_cst"}},
-           {"note_handled", "handled_", "fetch_add", {"seq_cst"}},
+           {"note_sent", "sent", "fetch_add", {"seq_cst"}},
+           {"note_handled", "handled", "fetch_add", {"seq_cst"}},
        },
        {}},
       // Run tokens (am/run_token.hpp): the per-node Idle/Queued/Running/
@@ -175,10 +171,11 @@ const std::vector<Policy>& policies() {
        {}},
       // M:N scheduler fabric (the run-token and park protocols now live in
       // their extracted cells above): the wake epoch is a seq_cst bump read
-      // with acquire (relaxed only in its diagnostic accessor); sleeper,
-      // searcher and steal bookkeeping is relaxed-advisory — the searcher
-      // cap is a CAS against a relaxed count, and maybe_wake_thief may skip
-      // a wake on a stale read because the token's owner runs it anyway.
+      // with acquire (relaxed only in its diagnostic accessor); sleeper and
+      // searcher bookkeeping is relaxed-advisory — the searcher cap is a
+      // CAS against a relaxed count, and maybe_wake_thief may skip a wake on
+      // a stale read because the token's owner runs it anyway. Steal counts
+      // live in each worker's record, written by that worker alone.
       {"mn_scheduler",
        "MnMachine",
        false,
@@ -190,8 +187,6 @@ const std::vector<Policy>& policies() {
            {"sleepers_", "fetch_add", "", {"relaxed"}},
            {"sleepers_", "fetch_sub", "", {"relaxed"}},
            {"sleepers_", "load", "maybe_wake_thief", {"relaxed"}},
-           {"steals_", "fetch_add", "", {"relaxed"}},
-           {"steals_", "load", "steals", {"relaxed"}},
            {"wake_epoch_", "fetch_add", "", {"seq_cst"}},
            {"wake_epoch_", "load", "", {"acquire", "seq_cst"}},
            {"wake_epoch_", "load", "wake_epoch", {"relaxed"}},

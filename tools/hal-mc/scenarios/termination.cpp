@@ -2,10 +2,10 @@
 //
 // Two participants exchange a request / reply / follow-up / done chain
 // through Vyukov MPSC mailboxes, following the detector's usage contract:
-// note_sent() before the push, note_handled() after the handler, and
-// activate()/deactivate() around every busy period. Participant 0 holds an
-// external work token across the first round trip, so check()'s `extra`
-// probe is exercised too.
+// note_sent(who) before the push, note_handled(who) after the handler, and
+// activate()/deactivate() around every busy period, each participant on
+// its own shard. Participant 0 holds an external work token across the
+// first round trip, so check()'s `extra` probe is exercised too.
 //
 // Checked properties:
 //   * a kQuiescent verdict is never premature: once any participant sees
@@ -16,6 +16,9 @@
 //     holder is active, so a stable snapshot with tokens outstanding would
 //     be a detector bug;
 //   * conservation: handled never exceeds sent.
+//
+// The regression term_single_collect runs the deferred-send scenario with
+// check() minus its second collect, and must find the premature verdict.
 //
 // The detector's correctness proof leans on the seq_cst total order S of
 // the epoch bumps and shard scans (termination.hpp header). Under the
@@ -60,8 +63,24 @@ struct TermState {
   std::array<bool, 2> quiescent_seen{};
 };
 
-void participant(const std::shared_ptr<TermState>& st, std::uint32_t who) {
-  using Verdict = TermState::Det::Verdict;
+using Verdict = TermState::Det::Verdict;
+
+/// check() without its second collect: nothing then bounds the window the
+/// scans lie in, so a unit sent after the collect by a participant that
+/// goes idle before scan A slips past both scans.
+template <typename ExtraFn>
+Verdict single_collect_check(const TermState::Det& det, ExtraFn&& extra) {
+  const std::uint64_t h1 = det.handled();
+  const std::uint64_t s1 = det.sent();
+  if (h1 != s1) return Verdict::kBusy;
+  if (!det.all_idle()) return Verdict::kBusy;
+  const std::uint64_t e = extra();
+  if (!det.all_idle()) return Verdict::kBusy;
+  return e == 0 ? Verdict::kQuiescent : Verdict::kStalled;
+}
+
+void participant(const std::shared_ptr<TermState>& st, std::uint32_t who,
+                 bool recollect = true) {
   auto& inbox = st->q[who];
   auto& outbox = st->q[who ^ 1u];
   bool active = true;  // constructed active
@@ -78,24 +97,24 @@ void participant(const std::shared_ptr<TermState>& st, std::uint32_t who) {
       MC_ASSERT(st->quiesced.load() == 0,
                 "termination: unit handled after quiescence was declared");
       if (*u == kReq) {
-        st->det.note_sent();
+        st->det.note_sent(who);
         outbox.push(kReply);
       } else if (*u == kReply) {
         st->tokens.fetch_sub(1, std::memory_order_relaxed);
-        st->det.note_sent();
+        st->det.note_sent(who);
         outbox.push(kReq2);
       } else if (*u == kReq2) {
         got_req2 = true;
       }  // kDone: nothing to do
       st->handled_count[who].set(st->handled_count[who].get() + 1);
-      st->det.note_handled();
+      st->det.note_handled(who);
     }
     if (got_req2 && !sent_done) {
       // Deferred local work: an active participant may send spontaneously
       // after its last note_handled — exactly the window the shard scan
       // (not the counters) has to catch.
       sent_done = true;
-      st->det.note_sent();
+      st->det.note_sent(who);
       outbox.push(kDone);
     }
     // Flush plain bookkeeping before going idle: deactivate()'s release
@@ -103,9 +122,11 @@ void participant(const std::shared_ptr<TermState>& st, std::uint32_t who) {
     st->idle_stats[who].set(st->handled_count[who].get());
     st->det.deactivate(who);
     active = false;
-    const Verdict v = st->det.check([st] {
+    const auto tokens = [st] {
       return st->tokens.load(std::memory_order_relaxed);
-    });
+    };
+    const Verdict v = recollect ? st->det.check(tokens)
+                                : single_collect_check(st->det, tokens);
     MC_ASSERT(v != Verdict::kStalled,
               "termination: kStalled verdict with no real token deadlock");
     if (v == Verdict::kQuiescent) {
@@ -134,7 +155,7 @@ void termination_quiescence(Sim& sim) {
 
   sim.thread([st] {  // participant 0: opens with kReq, holds a token
     st->tokens.fetch_add(1, std::memory_order_relaxed);
-    st->det.note_sent();
+    st->det.note_sent(0);
     st->q[1].push(kReq);
     participant(st, 0);
   });
@@ -158,15 +179,16 @@ void termination_quiescence(Sim& sim) {
 // declarer p0 ONLY via deactivate()'s release acquired by the shard scan —
 // the inbox pop covers p1's history just up to the kDone push. This is the
 // scenario the deactivate()/all_idle() mutants run against.
-void termination_deferred(Sim& sim) {
+void deferred_body(Sim& sim, bool recollect) {
   auto st = std::make_shared<TermState>();
 
-  sim.thread([st] {  // p0: hands p1 a unit that triggers a deferred send
-    st->det.note_sent();
+  // p0: hands p1 a unit that triggers a deferred send.
+  sim.thread([st, recollect] {
+    st->det.note_sent(0);
     st->q[1].push(kReq2);
-    participant(st, 0);
+    participant(st, 0, recollect);
   });
-  sim.thread([st] { participant(st, 1); });
+  sim.thread([st, recollect] { participant(st, 1, recollect); });
 
   sim.finish([st] {
     MC_ASSERT(st->det.handled() <= st->det.sent(),
@@ -178,6 +200,10 @@ void termination_deferred(Sim& sim) {
   });
 }
 
+void termination_deferred(Sim& sim) { deferred_body(sim, true); }
+
+void term_single_collect(Sim& sim) { deferred_body(sim, false); }
+
 const Register reg_deferred{Scenario{
     .name = "termination_deferred",
     .description = "deferred-send window: a participant re-activates and "
@@ -185,6 +211,18 @@ const Register reg_deferred{Scenario{
                    "the shard scan can catch it",
     .body = termination_deferred,
     .expect_violation = false,
+    .preemption_bound = 3,
+    .max_executions = 600000,
+    .max_steps = 20000,
+}};
+
+const Register reg_single_collect{Scenario{
+    .name = "term_single_collect",
+    .description = "regression: check() without its second collect; the "
+                   "checker must find kQuiescent declared while p1's "
+                   "deferred unit is still in flight",
+    .body = term_single_collect,
+    .expect_violation = true,
     .preemption_bound = 3,
     .max_executions = 600000,
     .max_steps = 20000,
