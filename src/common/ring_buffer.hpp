@@ -7,9 +7,11 @@
 // chunk to a free list, so steady-state messaging churns the allocator even
 // when queue depth is bounded. RingDeque keeps elements in one contiguous
 // power-of-two array: push/pop are index arithmetic, and once the ring has
-// grown to the run's high-water mark it never allocates again. Indexed
-// access and mid-queue erase (both FIFO-order-preserving) support the load
-// balancer's steal scan and the pending-queue constraint replay.
+// grown to its high-water mark it never allocates again. clear() keeps the
+// array, so a recycled actor slot can hand its rings to the next actor
+// (ActorRecord::recycle). Indexed access and mid-queue erase (both
+// FIFO-order-preserving) support the load balancer's steal scan and the
+// pending-queue constraint replay.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +25,9 @@ namespace hal {
 template <typename T>
 class RingDeque {
  public:
+  /// Capacity of the first array a ring allocates.
+  static constexpr std::size_t kInitialCapacity = 8;
+
   RingDeque() = default;
 
   bool empty() const noexcept { return size_ == 0; }
@@ -102,14 +107,15 @@ class RingDeque {
     --size_;
   }
 
+  /// Destroy the live elements, and any buffers they own, keeping the
+  /// capacity.
   void clear() noexcept {
+    for (std::size_t i = 0; i < size_; ++i) slots_[(head_ + i) & mask_] = T();
     head_ = 0;
     size_ = 0;
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 8;
-
   void grow() {
     const std::size_t new_cap =
         slots_.empty() ? kInitialCapacity : slots_.size() * 2;

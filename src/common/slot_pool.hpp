@@ -36,13 +36,19 @@ struct SlotId {
 /// Slab of T with stable indices, O(1) allocate/free via a free list, and
 /// generation checking. Not thread-safe: each node owns its own pools
 /// (single-writer discipline, see DESIGN.md §5).
+///
+/// Recycle contract: free() resets the value in place — by calling its
+/// `recycle()` when T has one, by assigning T() otherwise — and the
+/// no-argument allocate() hands the slot out exactly as free() left it. A
+/// type with recycle() can so keep storage across occupants (an actor
+/// slot keeps its initial-size mailbox ring); every other type reads as
+/// T().
 template <typename T>
 class SlotPool {
  public:
   SlotPool() = default;
 
-  template <typename... Args>
-  SlotId allocate(Args&&... args) {
+  SlotId allocate() {
     std::uint32_t index;
     if (free_head_ != kNoFree) {
       index = free_head_;
@@ -56,15 +62,26 @@ class SlotPool {
     // Generation 0 is reserved for "invalid"; skip it on wrap-around.
     if (++s.gen == 0) ++s.gen;
     s.live = true;
-    s.value = T(std::forward<Args>(args)...);
     ++live_count_;
     return SlotId{index, s.gen};
+  }
+
+  template <typename... Args>
+    requires(sizeof...(Args) > 0)
+  SlotId allocate(Args&&... args) {
+    const SlotId id = allocate();
+    slots_[id.index].value = T(std::forward<Args>(args)...);
+    return id;
   }
 
   void free(SlotId id) {
     Slot& s = slot_checked(id);
     s.live = false;
-    s.value = T();
+    if constexpr (requires { s.value.recycle(); }) {
+      s.value.recycle();
+    } else {
+      s.value = T();
+    }
     s.next_free = free_head_;
     free_head_ = id.index;
     HAL_DASSERT(live_count_ > 0);

@@ -51,6 +51,25 @@ struct ActorRecord {
   bool dying = false;
 
   bool has_mail() const noexcept { return !mailbox.empty(); }
+
+  /// Reset for the slot's next actor (SlotPool::free): messages still
+  /// queued are destroyed and every field, including any added later,
+  /// returns to its default, except that a ring still at its initial
+  /// capacity stays with the slot, so actor turnover allocates no rings.
+  /// A ring that grew past it is freed: kept, one actor's large mailbox
+  /// would pin memory to the slot and send later growth to fresh pages.
+  void recycle() {
+    RingDeque<Message> old_mailbox = std::move(mailbox);
+    RingDeque<Message> old_pending = std::move(pending);
+    *this = ActorRecord();
+    const auto keep = [](RingDeque<Message>& old, RingDeque<Message>& ring) {
+      if (old.capacity() > RingDeque<Message>::kInitialCapacity) return;
+      old.clear();
+      ring = std::move(old);
+    };
+    keep(old_mailbox, mailbox);
+    keep(old_pending, pending);
+  }
 };
 
 }  // namespace hal

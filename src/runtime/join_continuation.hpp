@@ -14,6 +14,7 @@
 // touches the heap zero times.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <vector>
@@ -86,14 +87,12 @@ struct JoinContinuation {
   /// node-local, so creation and completion read the same clock.
   SimTime created_at = 0;
 
-  /// Size the slot arrays for `n` replies (fresh record from the SlotPool:
-  /// members are default-initialized before this runs).
+  /// Size the slot arrays for `n` replies (a record as SlotPool::allocate()
+  /// hands it out, default or recycled: every slot is empty).
   void init(std::uint32_t n) {
     counter = n;
     slot_count = n;
-    if (n <= kInlineSlots) {
-      inline_words_.fill(0);
-    } else {
+    if (n > kInlineSlots) {
       spill_words_.assign(n, 0);
       spill_blobs_.resize(n);
     }
@@ -103,7 +102,10 @@ struct JoinContinuation {
     HAL_ASSERT(slot < slot_count);
     HAL_ASSERT(counter > 0);
     words()[slot] = word;
-    if (!blob.empty()) blobs()[slot] = std::move(blob);
+    if (!blob.empty()) {
+      has_blobs_ = true;
+      blobs()[slot] = std::move(blob);
+    }
     --counter;
   }
 
@@ -115,8 +117,10 @@ struct JoinContinuation {
                : std::span(spill_words_);
   }
   /// Reply payload slots (pool-acquired on arrival; the kernel retires them
-  /// after the body runs). Empty Bytes = word-only reply.
+  /// after the body runs). Empty Bytes = word-only reply; an empty span
+  /// until a reply attaches a payload.
   std::span<Bytes> blobs() noexcept {
+    if (!has_blobs_) return {};
     return slot_count <= kInlineSlots
                ? std::span(inline_blobs_.data(), slot_count)
                : std::span(spill_blobs_);
@@ -130,7 +134,48 @@ struct JoinContinuation {
     return JoinView(self->words(), self->blobs());
   }
 
+  /// Move what the body reads into `out`, a default record: the body,
+  /// creator, stamp and words, and the blobs only if a reply attached one.
+  /// The kernel then frees this slot before running the body, because the
+  /// body may make joins and growing the pool moves every record.
+  void take_fired(JoinContinuation& out) {
+    out.function = std::move(function);
+    out.creator = creator;
+    out.created_at = created_at;
+    out.slot_count = slot_count;
+    out.has_blobs_ = has_blobs_;
+    if (slot_count > kInlineSlots) {
+      out.spill_words_ = std::move(spill_words_);
+      out.spill_blobs_ = std::move(spill_blobs_);
+    } else {
+      std::copy_n(inline_words_.begin(), slot_count, out.inline_words_.begin());
+      if (has_blobs_) {
+        std::move(inline_blobs_.begin(), inline_blobs_.begin() + slot_count,
+                  out.inline_blobs_.begin());
+      }
+    }
+  }
+
+  /// Reset to a default record in place, without building a temporary one,
+  /// for the slot's next continuation (SlotPool::free). A field added to the
+  /// record must be reset here too.
+  void recycle() noexcept {
+    counter = 0;
+    slot_count = 0;
+    function.reset();
+    creator = MailAddress{};
+    created_at = 0;
+    if (has_blobs_) {
+      for (Bytes& b : inline_blobs_) b = Bytes();
+    }
+    has_blobs_ = false;
+    inline_words_.fill(0);
+    spill_words_ = {};
+    spill_blobs_ = {};
+  }
+
  private:
+  bool has_blobs_ = false;
   std::array<std::uint64_t, kInlineSlots> inline_words_{};
   std::array<Bytes, kInlineSlots> inline_blobs_{};
   std::vector<std::uint64_t> spill_words_;

@@ -257,6 +257,8 @@ SlotId Kernel::install_actor(std::unique_ptr<ActorBase> impl,
     addr.desc = dslot;
     addr.created_on = self_;
     addr.behavior = behavior;
+    // Nothing can wait on an address that did not exist until now.
+    HAL_DASSERT(!node_manager_->has_waiting_work(addr));
   } else if (addr.home == self_) {
     // Actor returning to its birthplace: the address's embedded descriptor
     // is ours; it becomes local again (collapsing the forward chain).
@@ -294,9 +296,6 @@ SlotId Kernel::install_actor(std::unique_ptr<ActorBase> impl,
   rec.self_desc = dslot;
   rec.alias_desc = alias_dslot;
   rec.epoch = epoch;
-
-  node_manager_->registered(addr);
-  if (alias.valid()) node_manager_->registered(alias);
   return aslot;
 }
 
@@ -584,8 +583,10 @@ void Kernel::fill_join(const ContRef& ref, std::uint64_t word, Bytes blob) {
   jc->fill(ref.slot, word, std::move(blob));
   stats_.bump(Stat::kRepliesJoined);
   if (!jc->ready()) return;
-  // Counter hit zero: run the compiled continuation body on this stream.
-  JoinContinuation done = std::move(*jc);
+  // Counter hit zero: run the compiled continuation body on this stream,
+  // from a copy of what it reads, after freeing the slot.
+  JoinContinuation done;
+  jc->take_fired(done);
   joins_.free(ref.jc);
   machine_.token_release(self_);
   probes_.record_span(obs::Probe::kJoinRoundTrip, done.created_at,

@@ -292,7 +292,9 @@ class Kernel final : public am::NodeClient {
 
   /// Used by NodeManager/Runtime: create an actor object for a remote
   /// creation request or a migration arrival. `epoch` is the actor's
-  /// migration count (0 for fresh creations).
+  /// migration count (0 for fresh creations). Work waiting on a reused
+  /// address or an alias is the caller's to release
+  /// (NodeManager::registered); a fresh address has none.
   SlotId install_actor(std::unique_ptr<ActorBase> impl, BehaviorId behavior,
                        const MailAddress& address, const MailAddress& alias,
                        std::uint32_t epoch = 0);

@@ -325,6 +325,9 @@ void NodeManager::on_create_request(const am::Packet& p) {
             k_.costs().name_insert_ns);
   std::unique_ptr<ActorBase> impl = k_.registry().construct(behavior);
   const SlotId aslot = k_.install_actor(std::move(impl), behavior, {}, alias);
+  // Deliveries and FIRs may have raced this request to the alias; the fresh
+  // ordinary address has nothing waiting.
+  registered(alias);
   k_.stats().bump(Stat::kActorsCreatedRemote);
 
   // Background acknowledgment: cache this node's descriptor address in the
@@ -510,6 +513,11 @@ void NodeManager::registered(const MailAddress& addr) {
   }
 }
 
+bool NodeManager::has_waiting_work(const MailAddress& addr) const {
+  return await_reg_.contains(addr) || parked_.contains(addr) ||
+         fir_relays_.contains(addr);
+}
+
 // --- Migration ----------------------------------------------------------------------------
 
 void NodeManager::migration_arrived(NodeId src, SimTime departed_at,
@@ -538,6 +546,8 @@ void NodeManager::migration_arrived(NodeId src, SimTime departed_at,
   }
   const SlotId aslot =
       k_.install_actor(std::move(impl), behavior, addr, alias, epoch);
+  registered(addr);
+  if (alias.valid()) registered(alias);
   ActorRecord* rec = k_.actor(aslot);
   rec->relocatable = relocatable;
   const auto mail_count = r.read<std::uint32_t>();

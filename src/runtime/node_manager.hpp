@@ -64,8 +64,12 @@ class NodeManager {
 
   // --- Registration rendezvous -----------------------------------------------
   /// An actor (created or migrated in) now answers to `addr`; flush parked
-  /// messages and FIRs that raced ahead of the registration.
+  /// messages and FIRs that raced ahead of the registration. Called for
+  /// aliases and migrated-in addresses, the only ones work can wait on.
   void registered(const MailAddress& addr);
+  /// Whether anything is parked, awaiting registration or relaying an FIR
+  /// for `addr`.
+  bool has_waiting_work(const MailAddress& addr) const;
   /// A group now exists locally; flush broadcasts/member-sends that raced
   /// ahead of the group-create relay.
   void group_registered(GroupId gid);

@@ -7,9 +7,10 @@
 // Runtime setup ("program loading"), mapping BehaviorId → constructor.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
-#include <typeindex>
 #include <unordered_map>
 #include <vector>
 
@@ -31,12 +32,13 @@ class BehaviorRegistry {
     requires std::derived_from<B, ActorBase> &&
              std::default_initializable<B>
   BehaviorId register_behavior() {
-    const std::type_index ti(typeid(B));
-    if (auto it = by_type_.find(ti); it != by_type_.end()) return it->second;
+    const std::size_t slot = type_slot<B>();
+    if (const BehaviorId id = id_at(slot); id != kInvalidBehavior) return id;
     const auto id = register_factory(
         std::string(B{}.behavior_name()),
         []() -> std::unique_ptr<ActorBase> { return std::make_unique<B>(); });
-    by_type_.emplace(ti, id);
+    if (slot >= by_type_.size()) by_type_.resize(slot + 1, kInvalidBehavior);
+    by_type_[slot] = id;
     return id;
   }
 
@@ -60,16 +62,18 @@ class BehaviorRegistry {
     return it == by_name_.end() ? kInvalidBehavior : it->second;
   }
 
+  /// Every create<B>() reads this: an index into the per-type table, no
+  /// hashing.
   template <typename B>
   BehaviorId id_of() const {
-    auto it = by_type_.find(std::type_index(typeid(B)));
-    HAL_ASSERT(it != by_type_.end());  // behaviour was never "loaded"
-    return it->second;
+    const BehaviorId id = id_at(type_slot<B>());
+    HAL_ASSERT(id != kInvalidBehavior);  // behaviour was never "loaded"
+    return id;
   }
 
   template <typename B>
   bool registered() const {
-    return by_type_.contains(std::type_index(typeid(B)));
+    return id_at(type_slot<B>()) != kInvalidBehavior;
   }
 
   std::unique_ptr<ActorBase> construct(BehaviorId id) const {
@@ -90,8 +94,34 @@ class BehaviorRegistry {
     Factory construct;
   };
 
+  /// The C++ type's index into by_type_, assigned once per process the
+  /// first time any registry asks; the ids stay per registry. Constant-
+  /// initialized atomics, not a function-local static: nothing to
+  /// initialize dynamically, and two threads that meet a new type at once
+  /// agree on one slot.
+  template <typename B>
+  static std::size_t type_slot() {
+    std::size_t s = type_slot_plus_one_<B>.load(std::memory_order_acquire);
+    if (s == 0) {
+      const std::size_t fresh =
+          next_type_slot_.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (type_slot_plus_one_<B>.compare_exchange_strong(s, fresh)) s = fresh;
+    }
+    return s - 1;
+  }
+
+  BehaviorId id_at(std::size_t slot) const noexcept {
+    return slot < by_type_.size() ? by_type_[slot] : kInvalidBehavior;
+  }
+
+  static inline std::atomic<std::size_t> next_type_slot_{0};
+  template <typename B>
+  static inline std::atomic<std::size_t> type_slot_plus_one_{0};
+
   std::vector<Entry> entries_;
-  std::unordered_map<std::type_index, BehaviorId> by_type_;
+  /// Per-type slot → id; kInvalidBehavior for types this registry never
+  /// loaded.
+  std::vector<BehaviorId> by_type_;
   std::unordered_map<std::string, BehaviorId> by_name_;
 };
 

@@ -61,6 +61,53 @@ TEST(SlotPool, ForEachVisitsLiveOnly) {
   EXPECT_EQ(sum, 2);
 }
 
+/// Keeps its buffer's capacity across occupants; everything else resets.
+struct Recyclable {
+  std::vector<int> kept;
+  int value = 0;
+  void recycle() {
+    kept.clear();
+    value = 0;
+  }
+};
+
+/// No recycle(): the pool resets it by assigning a default value.
+struct Plain {
+  std::vector<int> data;
+  int value = 0;
+};
+
+TEST(SlotPoolTest, NoArgAllocateReusesRecycledState) {
+  SlotPool<Recyclable> recycling;
+  const SlotId a = recycling.allocate();
+  recycling.get(a).kept.assign(100, 1);
+  recycling.get(a).value = 5;
+  const std::size_t cap = recycling.get(a).kept.capacity();
+  recycling.free(a);
+  const SlotId b = recycling.allocate();
+  EXPECT_EQ(b.index, a.index);
+  EXPECT_NE(b.gen, a.gen);  // generations still bump
+  EXPECT_EQ(recycling.try_get(a), nullptr);
+  const Recyclable& rb = recycling.get(b);
+  EXPECT_TRUE(rb.kept.empty());
+  EXPECT_EQ(rb.kept.capacity(), cap);  // what recycle() keeps, it keeps
+  EXPECT_EQ(rb.value, 0);
+
+  SlotPool<Plain> plain;
+  const SlotId c = plain.allocate();
+  plain.get(c).data.assign(100, 1);
+  plain.get(c).value = 5;
+  plain.free(c);
+  const SlotId d = plain.allocate();
+  EXPECT_EQ(d.index, c.index);
+  EXPECT_NE(d.gen, c.gen);
+  EXPECT_EQ(plain.try_get(c), nullptr);
+  // Reads as T(): the old buffer is gone, not just emptied.
+  EXPECT_TRUE(plain.get(d).data.empty());
+  EXPECT_EQ(plain.get(d).data.capacity(), 0u);
+  EXPECT_EQ(plain.get(d).value, 0);
+}
+
 TEST(SlotPool, StressReuse) {
   SlotPool<std::uint64_t> pool;
   std::vector<SlotId> ids;

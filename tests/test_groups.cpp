@@ -30,6 +30,14 @@ class Member : public ActorBase {
   HAL_BEHAVIOR(Member, &Member::on_init, &Member::on_bump,
                &Member::on_tell_index, &Member::on_ring)
 
+  /// A ring step can overtake this member's on_init: they come from
+  /// different nodes, and only sends between one pair of nodes stay
+  /// ordered. The constraint holds the step in the pending queue (§6.1)
+  /// until the member knows its index and the group size.
+  bool method_enabled(Selector s) const override {
+    return s != sel<&Member::on_ring>() || total_ != 0;
+  }
+
   std::int64_t value() const { return value_; }
   std::int64_t ring_hits() const { return ring_hits_; }
   std::uint32_t index() const { return index_; }

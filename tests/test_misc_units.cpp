@@ -169,6 +169,39 @@ TEST(Registry, ConstructsByIdWithCorrectDynamicType) {
   EXPECT_EQ(obj->method_count(), 1u);
 }
 
+class RegC : public ActorBase {
+ public:
+  void on_z(Context&) {}
+  HAL_BEHAVIOR(RegC, &RegC::on_z)
+};
+
+TEST(BehaviorRegistry, IdOfIsPerRegistry) {
+  RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.machine = MachineKind::kSim;
+  Runtime first(cfg);
+  Runtime second(cfg);
+  // Opposite load orders: the C++ types share one per-type slot each, the
+  // ids they map to are each registry's own.
+  const BehaviorId a1 = first.load<RegA>();
+  const BehaviorId b1 = first.load<RegB>();
+  const BehaviorId b2 = second.load<RegB>();
+  const BehaviorId a2 = second.load<RegA>();
+  EXPECT_NE(a1, b1);
+  EXPECT_EQ(a1, b2);
+  EXPECT_EQ(b1, a2);
+  EXPECT_EQ(first.registry().id_of<RegA>(), a1);
+  EXPECT_EQ(first.registry().id_of<RegB>(), b1);
+  EXPECT_EQ(second.registry().id_of<RegA>(), a2);
+  EXPECT_EQ(second.registry().id_of<RegB>(), b2);
+  EXPECT_EQ(first.spawn<RegA>(0).behavior, a1);
+  EXPECT_EQ(second.spawn<RegA>(0).behavior, a2);
+  // A type only the other registry loaded stays unknown here.
+  second.load<RegC>();
+  EXPECT_TRUE(second.registry().registered<RegC>());
+  EXPECT_FALSE(first.registry().registered<RegC>());
+}
+
 // --- StatBlock -----------------------------------------------------------------------
 
 TEST(Stats, AccumulateAndFormat) {

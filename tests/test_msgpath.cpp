@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -291,6 +292,25 @@ TEST(RingDequeTest, EraseAtPreservesOrderOnBothSides) {
   const int expect[] = {0, 2, 3, 4, 5, 6, 7, 9};
   ASSERT_EQ(q.size(), 8u);
   for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i], expect[i]);
+}
+
+TEST(RingDequeTest, ClearDestroysLiveElementsKeepsCapacity) {
+  const auto token = std::make_shared<int>(7);
+  RingDeque<std::shared_ptr<int>> q;
+  for (int i = 0; i < 12; ++i) q.push_back(token);
+  for (int i = 0; i < 6; ++i) (void)q.take_front();
+  for (int i = 0; i < 6; ++i) q.push_back(token);  // live region wraps
+  ASSERT_EQ(q.size(), 12u);
+  ASSERT_EQ(token.use_count(), 1 + 12);
+  const std::size_t cap = q.capacity();
+  ASSERT_EQ(cap, 16u);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);
+  EXPECT_EQ(token.use_count(), 1);  // no live element left in a slot
+  for (int i = 0; i < 3; ++i) q.push_back(std::make_shared<int>(i));
+  EXPECT_EQ(q.capacity(), cap);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(*q.take_front(), i);
 }
 
 // --- Dispatcher ring ------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -429,6 +431,169 @@ TEST(DispatchOrder, ForkTreeExpandsDepthFirst) {
   EXPECT_EQ(r->result, 6765u);
   EXPECT_LE(PeakFib::peak_live, 2 * kN);
   EXPECT_EQ(rt.dead_letters(), 0u);
+}
+
+// --- Actor and join turnover ---------------------------------------------------------
+
+class Mortal : public ActorBase {
+ public:
+  void on_ping(Context&) {}
+  void on_die(Context& ctx) { ctx.terminate(); }
+  HAL_BEHAVIOR(Mortal, &Mortal::on_ping, &Mortal::on_die)
+};
+
+TEST(ActorLifecycle, RecycledSlotKeepsItsMailboxRing) {
+  Runtime rt(one_sim_node());
+  rt.load<Mortal>();
+  Kernel& k = rt.kernel(0);
+  const MailAddress first = rt.spawn<Mortal>(0);
+  for (int i = 0; i < 4; ++i) rt.inject<&Mortal::on_ping>(first);
+  rt.inject<&Mortal::on_die>(first);
+  SlotId first_slot;
+  {
+    check::ScopedExecutionNode scope(0);
+    first_slot = k.locality_check(first);
+  }
+  ASSERT_TRUE(first_slot.valid());
+  rt.run();
+  EXPECT_EQ(k.actor(first_slot), nullptr);
+  EXPECT_EQ(rt.dead_letters(), 0u);
+
+  check::ScopedExecutionNode scope(0);
+  const MailAddress second = k.create_local(k.registry().id_of<Mortal>());
+  const SlotId second_slot = k.locality_check(second);
+  EXPECT_EQ(second_slot.index, first_slot.index);
+  EXPECT_NE(second_slot.gen, first_slot.gen);
+  const ActorRecord* rec = k.actor(second_slot);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->mailbox.empty());
+  EXPECT_GE(rec->mailbox.capacity(), RingDeque<Message>::kInitialCapacity);
+  EXPECT_TRUE(rec->pending.empty());
+  EXPECT_FALSE(rec->alias.valid());
+  EXPECT_FALSE(rec->alias_desc.valid());
+  EXPECT_FALSE(rec->scheduled);
+  EXPECT_EQ(rec->migrate_target, kInvalidNode);
+  EXPECT_FALSE(rec->relocatable);
+  EXPECT_EQ(rec->epoch, 0u);
+  EXPECT_FALSE(rec->dying);
+
+  // Field by field: a recycled record is a default one, plus the rings
+  // still at their initial capacity; a ring that grew is freed.
+  ActorRecord used;
+  used.impl = std::make_unique<Mortal>();
+  used.behavior = 3;
+  used.address = first;
+  used.alias = second;
+  used.self_desc = SlotId{1, 1};
+  used.alias_desc = SlotId{2, 1};
+  for (int i = 0; i < 9; ++i) {
+    Message m;
+    m.payload.resize(32);
+    used.pending.push_back(std::move(m));
+  }
+  used.mailbox.push_back(Message{});
+  used.scheduled = true;
+  used.migrate_target = 0;
+  used.relocatable = true;
+  used.epoch = 4;
+  used.dying = true;
+  ASSERT_EQ(used.mailbox.capacity(), RingDeque<Message>::kInitialCapacity);
+  ASSERT_GT(used.pending.capacity(), RingDeque<Message>::kInitialCapacity);
+  used.recycle();
+  const ActorRecord fresh;
+  EXPECT_EQ(used.impl.get(), nullptr);
+  EXPECT_EQ(used.behavior, fresh.behavior);
+  EXPECT_EQ(used.address.pack_word0(), fresh.address.pack_word0());
+  EXPECT_EQ(used.address.pack_word1(), fresh.address.pack_word1());
+  EXPECT_EQ(used.alias.pack_word0(), fresh.alias.pack_word0());
+  EXPECT_EQ(used.alias.pack_word1(), fresh.alias.pack_word1());
+  EXPECT_EQ(used.self_desc, fresh.self_desc);
+  EXPECT_EQ(used.alias_desc, fresh.alias_desc);
+  EXPECT_TRUE(used.mailbox.empty());
+  EXPECT_EQ(used.mailbox.capacity(), RingDeque<Message>::kInitialCapacity);
+  EXPECT_TRUE(used.pending.empty());
+  EXPECT_EQ(used.pending.capacity(), fresh.pending.capacity());
+  EXPECT_EQ(used.scheduled, fresh.scheduled);
+  EXPECT_EQ(used.migrate_target, fresh.migrate_target);
+  EXPECT_EQ(used.relocatable, fresh.relocatable);
+  EXPECT_EQ(used.epoch, fresh.epoch);
+  EXPECT_EQ(used.dying, fresh.dying);
+}
+
+/// Fires joins whose bodies make enough joins to reallocate the kernel's
+/// join pool, then read their own words and blobs.
+class JoinGrower : public ActorBase {
+ public:
+  static constexpr int kHeld = 100;
+
+  void on_words(Context& ctx) {
+    const ContRef outer =
+        ctx.make_join(3, [](Context& c, const JoinView& v) {
+          std::array<ContRef, kHeld> held;
+          for (ContRef& h : held) {
+            h = c.make_join(1, [](Context&, const JoinView& w) {
+              inner_sum += w.get<std::int64_t>(0);
+            });
+          }
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            seen_words.push_back(v.get<std::int64_t>(i));
+          }
+          for (const ContRef& h : held) c.prefill(h, std::int64_t{1});
+        });
+    ctx.prefill(outer.at(0), std::int64_t{11});
+    ctx.prefill(outer.at(2), std::int64_t{33});
+    ctx.prefill(outer.at(1), std::int64_t{22});
+  }
+
+  void on_blob(Context& ctx) {
+    const ContRef j = ctx.make_join(2, [](Context& c, const JoinView& v) {
+      std::array<ContRef, kHeld> held;
+      for (ContRef& h : held) {
+        h = c.make_join(1, [](Context&, const JoinView&) {});
+      }
+      seen_words.push_back(v.get<std::int64_t>(0));
+      seen_words.push_back(v.get<std::int64_t>(1));
+      const Bytes& b = v.blob(1);
+      seen_blob.assign(reinterpret_cast<const char*>(b.data()), b.size());
+      returns_in_body = c.kernel().pool().returns();
+      for (const ContRef& h : held) c.prefill(h, std::int64_t{0});
+    });
+    ctx.prefill(j, std::int64_t{5});
+    Bytes blob = ctx.kernel().pool().acquire(100);
+    std::fill(blob.begin(), blob.end(), std::byte{'x'});
+    ctx.reply_blob_to(j.at(1), 6, std::move(blob));
+    returns_after = ctx.kernel().pool().returns();
+  }
+  HAL_BEHAVIOR(JoinGrower, &JoinGrower::on_words, &JoinGrower::on_blob)
+
+  static inline std::int64_t inner_sum = 0;
+  static inline std::vector<std::int64_t> seen_words;
+  static inline std::string seen_blob;
+  static inline std::uint64_t returns_in_body = 0;
+  static inline std::uint64_t returns_after = 0;
+};
+
+TEST(JoinFire, BodyThatGrowsThePoolSeesItsWords) {
+  JoinGrower::inner_sum = 0;
+  JoinGrower::seen_words.clear();
+  JoinGrower::seen_blob.clear();
+  Runtime rt(one_sim_node());
+  rt.load<JoinGrower>();
+  const MailAddress g = rt.spawn<JoinGrower>(0);
+  rt.inject<&JoinGrower::on_words>(g);
+  rt.inject<&JoinGrower::on_blob>(g);
+  rt.run();
+  EXPECT_EQ(JoinGrower::inner_sum, JoinGrower::kHeld);
+  EXPECT_EQ(JoinGrower::seen_words,
+            (std::vector<std::int64_t>{11, 22, 33, 5, 6}));
+  // The blob join delivered its payload, then retired it to the pool.
+  EXPECT_EQ(JoinGrower::seen_blob, std::string(100, 'x'));
+  EXPECT_EQ(JoinGrower::returns_after, JoinGrower::returns_in_body + 1);
+  EXPECT_EQ(rt.dead_letters(), 0u);
+  EXPECT_EQ(rt.shutdown_drain().messages, 0u);
+  const StatBlock stats = rt.report().total;
+  EXPECT_EQ(stats.get(Stat::kJoinContinuationsCreated),
+            2u + 2u * JoinGrower::kHeld);
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, RuntimeCore,
