@@ -14,16 +14,19 @@
 // it a request through a join, and the child replies and terminates. It is
 // reported per created actor. A freed actor slot keeps its initial-size
 // mailbox ring and the join lives inline, so the one allocation left is the
-// child's behaviour object.
+// child's behaviour object. The same storm also reports the locality
+// descriptors retained per created actor, the marginal growth of the name
+// tables: a child dies where it was born, unmoved and unaliased, so its
+// descriptor is released with it and the row reads 0.
 //
 // HAL_MSGPATH_MAX_ALLOCS=<n> (optional; set but empty counts as set) turns
 // the numbers into a hard budget: the binary exits non-zero if
 // allocations-per-small-message exceeds n on *any* message storm — local,
-// remote, or reply — or if the spawn storm exceeds 1 allocation per created
-// actor, whatever n is. CI runs SimMachine with a budget of 0 (the join
-// path is inline, so the reply storm allocates nothing either) and
-// MnMachine with a budget of 1 (its node mailboxes allocate one queue node
-// per physical packet).
+// remote, or reply — or if the spawn storm exceeds 1 allocation or 0.01
+// retained descriptors per created actor, whatever n is. CI runs
+// SimMachine with a budget of 0 (the join path is inline, so the reply
+// storm allocates nothing either) and MnMachine with a budget of 1 (its
+// node mailboxes allocate one queue node per physical packet).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -144,6 +147,7 @@ class Spawner : public ActorBase {
 struct StormOut {
   std::uint64_t allocs = 0;  ///< heap allocations during Runtime::run()
   double wall_s = 0.0;       ///< host wall time of Runtime::run()
+  std::size_t descriptors = 0;  ///< live descriptors on all nodes after it
   obs::RunReport report;
 };
 
@@ -164,6 +168,9 @@ StormOut run_storm(NodeId nodes, SetupFn&& setup) {
   g_counting.store(false, std::memory_order_relaxed);
   out.allocs = g_allocs.load(std::memory_order_relaxed);
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  for (NodeId n = 0; n < nodes; ++n) {
+    out.descriptors += rt.kernel(n).names().live_descriptors();
+  }
   out.report = rt.report();
   return out;
 }
@@ -215,6 +222,7 @@ struct Row {
   double allocs_per_unit;
   double units_per_sec;
   std::uint64_t units;
+  double descriptors_per_unit;  ///< marginal name-table growth
 };
 
 /// Marginal allocation rate: run at N and 2N, attribute the difference to
@@ -235,8 +243,13 @@ Row measure(const char* name, StormFn&& storm, std::int64_t n,
           : 0.0;
   const std::uint64_t big_units = static_cast<std::uint64_t>(
       units_per_round * 2 * n);
+  const double extra_descriptors =
+      big.descriptors >= small.descriptors
+          ? static_cast<double>(big.descriptors - small.descriptors)
+          : 0.0;
   return Row{name, extra_allocs / extra_units,
-             static_cast<double>(big_units) / big.wall_s, big_units};
+             static_cast<double>(big_units) / big.wall_s, big_units,
+             extra_descriptors / extra_units};
 }
 
 void print_row(const Row& r) {
@@ -274,12 +287,17 @@ int main() {
   std::printf("%-40s %12s %14s %12s\n", "", "actors", "allocs/actor",
               "actors/sec");
   print_row(spawn);
+  std::printf("%-40s %12s %14s\n", "", "actors", "descs/actor");
+  std::printf("%-40s %12llu %14.3f\n", "descriptors retained (spawn storm)",
+              static_cast<unsigned long long>(spawn.units),
+              spawn.descriptors_per_unit);
   std::printf(
       "\nshape check: every message storm should sit at ~0 allocs/msg — the\n"
       "reply round's join continuation lives entirely inline (InlineFunction\n"
       "body, inline slots, no pooled buffer for a body-less request). The\n"
       "spawn storm should sit at 1 alloc/actor: the behaviour object; the\n"
-      "recycled actor slot keeps its mailbox ring.\n");
+      "recycled actor slot keeps its mailbox ring. It should retain 0\n"
+      "descriptors per actor: each child's descriptor dies with it.\n");
 
   // Structured report from the largest reply storm: it populates the remote
   // delivery, mailbox residency, method execution, dispatch batch, and join
@@ -290,7 +308,8 @@ int main() {
   // SimMachine: the message path — including reply-to-continuation — must
   // be allocation-free at the margin). Presence of the variable enables the
   // check, so a budget of 0 is expressible. The spawn storm is held to 1
-  // allocation per created actor, the behaviour object, at any budget.
+  // allocation per created actor, the behaviour object, and to no retained
+  // descriptor per created actor, at any budget.
   if (std::getenv("HAL_MSGPATH_MAX_ALLOCS") != nullptr) {
     const unsigned budget =
         hal::bench::env_unsigned("HAL_MSGPATH_MAX_ALLOCS", 0);
@@ -314,10 +333,17 @@ int main() {
                    spawn.name, spawn.allocs_per_unit);
       return 1;
     }
+    if (spawn.descriptors_per_unit > kTolerance) {
+      std::fprintf(stderr,
+                   "FAIL: %s retained %.3f > %.2f descriptors per created "
+                   "actor\n",
+                   spawn.name, spawn.descriptors_per_unit, kTolerance);
+      return 1;
+    }
     std::printf(
         "allocation budget: PASS (<= %u per small message, <= 1 per created "
-        "actor)\n",
-        budget);
+        "actor, <= %.2f descriptors retained per created actor)\n",
+        budget, kTolerance);
   }
   return 0;
 }

@@ -23,14 +23,15 @@ namespace hal::check {
 /// What kind of invariant was violated. Attribution beyond the kind rides
 /// in Violation's fields (component name, expected/actual node, detail).
 enum class ViolationKind : std::uint8_t {
-  kNodeAffinity,       ///< per-node state touched from a foreign stream
-  kDoubleRetire,       ///< buffer released into a pool that already holds it
-  kUseAfterRetire,     ///< poison fill of an idle pooled buffer was overwritten
-  kBufferLeak,         ///< buffers still outstanding at shutdown accounting
-  kEpochRegression,    ///< locality descriptor updated with an older epoch
-  kFirChainOverflow,   ///< FIR forwarding chain longer than the node count
-  kCreditUnderflow,    ///< bulk flow-control credit window went negative
-  kCounterConservation ///< termination detector handled > sent
+  kNodeAffinity,         ///< per-node state touched from a foreign stream
+  kDoubleRetire,         ///< buffer released into a pool that already holds it
+  kUseAfterRetire,       ///< poison fill of an idle pooled buffer overwritten
+  kBufferLeak,           ///< buffers still outstanding at shutdown accounting
+  kEpochRegression,      ///< locality descriptor updated with an older epoch
+  kFirChainOverflow,     ///< FIR forwarding chain longer than the node count
+  kCreditUnderflow,      ///< bulk flow-control credit window went negative
+  kCounterConservation,  ///< termination detector handled > sent
+  kUnsafeReclaim,        ///< descriptor released while a node may reach it
 };
 
 inline const char* violation_kind_name(ViolationKind k) noexcept {
@@ -43,6 +44,7 @@ inline const char* violation_kind_name(ViolationKind k) noexcept {
     case ViolationKind::kFirChainOverflow: return "fir-chain-overflow";
     case ViolationKind::kCreditUnderflow: return "credit-underflow";
     case ViolationKind::kCounterConservation: return "counter-conservation";
+    case ViolationKind::kUnsafeReclaim: return "unsafe-reclaim";
   }
   return "unknown";
 }

@@ -1,6 +1,6 @@
 // Protocol-state auditors (hal::check level 2).
 //
-// Three distributed-protocol invariants from the paper's runtime design,
+// Four distributed-protocol invariants from the paper's runtime design,
 // each checkable locally at a single node:
 //
 //  * Locality-descriptor epochs are monotone (§4 migration): a descriptor is
@@ -22,6 +22,13 @@
 //    active inbound transfer" — a window of exactly one credit). BulkChannel
 //    embeds a CreditWindowAuditor; grants spend the credit, completions
 //    refund it.
+//
+//  * A dead actor's birthplace descriptor is released only when no other
+//    node can hold location information for it (§4.1; the reclamation
+//    rule of docs/PROTOCOLS.md §1). Kernel audits each release via
+//    audit_descriptor_reclaim: the descriptor must still name a local
+//    actor at epoch 0, with no FIR outstanding and nothing parked,
+//    awaiting registration or relaying under the address.
 //
 // The termination sent/handled conservation check lives directly in
 // common/termination.hpp (it needs the detector's atomics) and reports
@@ -62,6 +69,38 @@ inline void audit_fir_chain([[maybe_unused]] NodeId owner,
   if (hops > node_count + max_epoch) {
     fail(Violation{ViolationKind::kFirChainOverflow, "NodeManager", owner,
                    current_node(), hops, node_count + max_epoch});
+  }
+#endif
+}
+
+// Why audit_descriptor_reclaim objected, as bits of Violation::detail1.
+/// The descriptor forwards: the actor moved.
+inline constexpr std::uint64_t kReclaimNotLocal = 1;
+/// Epoch != 0: other nodes may hold forward state for the actor.
+inline constexpr std::uint64_t kReclaimMigrated = 2;
+/// An FIR for the address is outstanding here.
+inline constexpr std::uint64_t kReclaimFirPending = 4;
+/// Work is parked, awaited or relayed under the address.
+inline constexpr std::uint64_t kReclaimWaitingWork = 8;
+
+/// Kernel is about to release the descriptor of a dead actor; `local`,
+/// `epoch` and `fir_outstanding` are the descriptor's, `waiting_work` is
+/// NodeManager::has_waiting_work for the address. Any hazard means some
+/// node may still be led to the descriptor, which a release would turn
+/// into a dangling name. detail0 carries the epoch, detail1 the hazards.
+inline void audit_descriptor_reclaim([[maybe_unused]] NodeId owner,
+                                     [[maybe_unused]] bool local,
+                                     [[maybe_unused]] std::uint32_t epoch,
+                                     [[maybe_unused]] bool fir_outstanding,
+                                     [[maybe_unused]] bool waiting_work) {
+#if HAL_CHECK
+  const std::uint64_t hazards = (local ? 0 : kReclaimNotLocal) |
+                                (epoch == 0 ? 0 : kReclaimMigrated) |
+                                (fir_outstanding ? kReclaimFirPending : 0) |
+                                (waiting_work ? kReclaimWaitingWork : 0);
+  if (hazards != 0) {
+    fail(Violation{ViolationKind::kUnsafeReclaim, "Kernel", owner,
+                   current_node(), epoch, hazards});
   }
 #endif
 }

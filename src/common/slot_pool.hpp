@@ -43,9 +43,15 @@ struct SlotId {
 /// type with recycle() can so keep storage across occupants (an actor
 /// slot keeps its initial-size mailbox ring); every other type reads as
 /// T().
+///
+/// Generations never wrap: a slot freed at kLastGen is retired, not put
+/// back on the free list, so no id it ever issued can name a later
+/// occupant. The cost is one slot per 2^32 - 1 reuses of it.
 template <typename T>
 class SlotPool {
  public:
+  static constexpr std::uint32_t kLastGen = 0xffffffffU;
+
   SlotPool() = default;
 
   SlotId allocate() {
@@ -58,9 +64,8 @@ class SlotPool {
       slots_.emplace_back();
     }
     Slot& s = slots_[index];
-    HAL_DASSERT(!s.live);
-    // Generation 0 is reserved for "invalid"; skip it on wrap-around.
-    if (++s.gen == 0) ++s.gen;
+    HAL_DASSERT(!s.live && s.gen != kLastGen);
+    ++s.gen;  // a fresh slot starts at 0, reserved for "invalid"
     s.live = true;
     ++live_count_;
     return SlotId{index, s.gen};
@@ -82,10 +87,11 @@ class SlotPool {
     } else {
       s.value = T();
     }
-    s.next_free = free_head_;
-    free_head_ = id.index;
     HAL_DASSERT(live_count_ > 0);
     --live_count_;
+    if (s.gen == kLastGen) return;  // retired: see the class comment
+    s.next_free = free_head_;
+    free_head_ = id.index;
   }
 
   T& get(SlotId id) { return slot_checked(id).value; }
@@ -103,8 +109,22 @@ class SlotPool {
   }
 
   bool contains(SlotId id) const noexcept { return try_get(id) != nullptr; }
+  /// Whether this pool handed `id` out at some point: its slot exists and
+  /// its generation is not newer than the slot's. A miss on such an id
+  /// names a freed occupant, not a handle the pool never issued.
+  bool issued(SlotId id) const noexcept {
+    return id.valid() && id.index < slots_.size() &&
+           id.gen <= slots_[id.index].gen;
+  }
   std::size_t size() const noexcept { return live_count_; }
   std::size_t capacity() const noexcept { return slots_.size(); }
+
+  /// Test hook: the free slot `index` is handed out next at generation
+  /// `gen` + 1, so a test can reach kLastGen without 2^32 reuses.
+  void preseed_generation_for_test(std::uint32_t index, std::uint32_t gen) {
+    HAL_ASSERT(index < slots_.size() && !slots_[index].live);
+    slots_[index].gen = gen;
+  }
 
   /// Visit every live slot; `fn(SlotId, T&)`.
   template <typename Fn>

@@ -42,6 +42,8 @@ class NameTable {
     affinity_.assert_here();
     return pool_.allocate(d);
   }
+  /// Free a descriptor slot. The slot's generation advances on reuse, so
+  /// addresses and hints naming the released descriptor stop resolving.
   void release(SlotId id) {
     affinity_.assert_here();
     pool_.free(id);
@@ -102,6 +104,14 @@ class NameTable {
       return pool_.contains(addr.desc) ? addr.desc : SlotId{};
     }
     return lookup(addr);
+  }
+
+  /// Whether this node minted `addr`: it is home to the address and its
+  /// descriptor pool issued the slot the address names. A resolve miss on
+  /// such an address is a released descriptor, not a forged name.
+  bool minted(const MailAddress& addr) const {
+    affinity_.assert_here();
+    return addr.home == self_ && pool_.issued(addr.desc);
   }
 
   // Quiescent-time introspection (report, tests): opted out of the

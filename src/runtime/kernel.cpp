@@ -311,7 +311,7 @@ void Kernel::send_message(Message m) {
                               : costs().name_lookup_ns);
   if (!ds.valid()) {
     if (m.dest.home == self_) {
-      dead_letter(m, DeadLetterCause::kUnknownActor);
+      dead_letter_home_miss(m);
       return;
     }
     // First send to this address from this node: allocate a best-guess
@@ -476,16 +476,7 @@ void Kernel::post_method(SlotId actor_slot, ActorRecord& rec) {
       rec.pending.pop_front();
       dead_letter(m, DeadLetterCause::kShutdownDrain);
     }
-    // Descriptors are never reclaimed (the paper defers this to a future
-    // distributed GC, §9): they become dead-letter sinks so stale senders
-    // fail loudly in stats rather than corrupt a recycled slot.
-    names_.update(rec.self_desc,
-                  LocalityDescriptor::make_local(SlotId{}, rec.epoch));
-    if (rec.alias_desc.valid()) {
-      names_.update(rec.alias_desc,
-                    LocalityDescriptor::make_local(SlotId{}, rec.epoch));
-    }
-    actors_.free(actor_slot);
+    retire_actor(actor_slot, rec);
     return;
   }
   if (rec.migrate_target != kInvalidNode) {
@@ -518,6 +509,9 @@ void Kernel::run_quantum(GroupId gid, Message m) {
         ds.valid() ? &names_.descriptor(ds) : nullptr;
     if (d != nullptr && d->local()) {
       run_method(d->actor, std::move(copy), /*cheap_dispatch=*/collective);
+    } else if (d == nullptr && addr.home == self_) {
+      // Member terminated here and its descriptor was released.
+      dead_letter_home_miss(copy);
     } else {
       // Member migrated away: fall back to the generic send path.
       send_message(std::move(copy));
@@ -753,11 +747,33 @@ void Kernel::reap_actor(SlotId actor_slot) {
   // GC runs at quiescence: an unreachable actor cannot have buffered mail.
   HAL_ASSERT(rec->mailbox.empty() && rec->pending.empty() &&
              !rec->scheduled);
-  names_.update(rec->self_desc,
-                LocalityDescriptor::make_local(SlotId{}, rec->epoch));
-  if (rec->alias_desc.valid()) {
-    names_.update(rec->alias_desc,
-                  LocalityDescriptor::make_local(SlotId{}, rec->epoch));
+  retire_actor(actor_slot, *rec);
+}
+
+void Kernel::retire_actor(SlotId actor_slot, ActorRecord& rec) {
+  if (rec.address.home == self_ && rec.epoch == 0 && !rec.alias.valid()) {
+    // Born here, never moved, no alias: every location update about this
+    // actor named this node, so no other node holds a forward pointer, FIR
+    // relay or alias binding that leads here. Release the descriptor; a
+    // later send to the address misses and dead-letters as stale.
+    if constexpr (HAL_CHECK != 0) {
+      const LocalityDescriptor& d = names_.descriptor(rec.self_desc);
+      check::audit_descriptor_reclaim(
+          self_, d.local(), d.epoch, d.fir_outstanding,
+          node_manager_->has_waiting_work(rec.address));
+    }
+    names_.release(rec.self_desc);
+  } else {
+    // Forward chains, FIR relays and alias bindings on other nodes may
+    // still lead here (the paper leaves their reclamation to a distributed
+    // GC, §9): keep the descriptors as dead-letter sinks, so stale senders
+    // are counted rather than delivered to a recycled slot.
+    names_.update(rec.self_desc,
+                  LocalityDescriptor::make_local(SlotId{}, rec.epoch));
+    if (rec.alias_desc.valid()) {
+      names_.update(rec.alias_desc,
+                    LocalityDescriptor::make_local(SlotId{}, rec.epoch));
+    }
   }
   actors_.free(actor_slot);
 }
@@ -774,6 +790,11 @@ void Kernel::console_print(std::string_view text) {
   p.payload = pool_.acquire(n);
   if (n != 0) std::memcpy(p.payload.data(), text.data(), n);
   machine_.send(std::move(p));
+}
+
+void Kernel::dead_letter_home_miss(Message& m) {
+  dead_letter(m, names_.minted(m.dest) ? DeadLetterCause::kStaleDescriptor
+                                       : DeadLetterCause::kUnknownActor);
 }
 
 void Kernel::dead_letter(Message& m, DeadLetterCause cause) {

@@ -43,8 +43,8 @@ class NodeManager;
 /// RunReport v3 so a fault run can distinguish "actor really terminated"
 /// from "descriptor pointed somewhere stale").
 enum class DeadLetterCause : std::uint8_t {
-  kUnknownActor,     ///< no record for the address anywhere it could resolve
-  kStaleDescriptor,  ///< a descriptor resolved to a slot whose actor is gone
+  kUnknownActor,     ///< the address names nothing its home node issued
+  kStaleDescriptor,  ///< the actor is gone (sink or released descriptor)
   kShutdownDrain,    ///< dying actor's mailbox/pending queue discarded
   kCount,
 };
@@ -235,7 +235,8 @@ class Kernel final : public am::NodeClient {
     actors_.for_each(std::forward<Fn>(fn));
   }
   /// Reclaim an unreachable actor at quiescence (GC sweep): frees the
-  /// record, leaving its descriptors as dead-letter sinks.
+  /// record and settles its descriptors like a termination does
+  /// (retire_actor).
   void reap_actor(SlotId slot);
 
   /// Shutdown accounting: count and retire every message still buffered in
@@ -319,8 +320,16 @@ class Kernel final : public am::NodeClient {
   void post_method(SlotId actor_slot, ActorRecord& rec);
   /// Replay pending messages whose constraints are now enabled (§6.1).
   void replay_pending(SlotId actor_slot);
+  /// Free a dead actor's record. Its birthplace descriptor is released
+  /// when no other node can hold location information for it (born here,
+  /// never migrated, no alias); otherwise its descriptors stay as
+  /// dead-letter sinks (docs/PROTOCOLS.md §1).
+  void retire_actor(SlotId actor_slot, ActorRecord& rec);
   /// Account an undeliverable message and retire its payload buffer.
   void dead_letter(Message& m, DeadLetterCause cause);
+  /// Dead-letter a message to a home address that no longer resolves:
+  /// stale when this node minted the address, unknown otherwise.
+  void dead_letter_home_miss(Message& m);
 
   am::Machine& machine_;
   const NodeId self_;  // write-once identity, never a shared-state race

@@ -96,7 +96,13 @@ void NodeManager::local_or_forward(Message m, NodeId src, bool had_hint) {
       await_reg_[m.dest].messages.push_back(std::move(m));
       return;
     }
-    HAL_ASSERT(m.dest.home != k_.self());  // home descriptors always exist
+    if (m.dest.home == k_.self()) {
+      // This node is the address's home and no longer holds its
+      // descriptor: the actor died here unmoved and its descriptor was
+      // released (Kernel::retire_actor), or the address was forged.
+      k_.dead_letter_home_miss(m);
+      return;
+    }
     // A node that knows nothing about the receiver: route toward the
     // address's fallback node via a fresh best-guess descriptor.
     k_.charge(k_.costs().descriptor_alloc_ns + k_.costs().name_insert_ns);
@@ -185,6 +191,10 @@ void NodeManager::on_fir(const am::Packet& p) {
       await_reg_[addr].fir_origins.push_back(from);
       return;
     }
+    // A home FIR always resolves: only an actor that never left its
+    // birthplace has its descriptor released, and every location update
+    // about it names the birthplace, so no node parks its messages or
+    // sends an FIR for it (docs/PROTOCOLS.md §1).
     HAL_ASSERT(addr.home != k_.self());
     ds = nt.allocate(LocalityDescriptor::make_remote(addr.fallback_node()));
     nt.bind(addr, ds);

@@ -131,7 +131,9 @@ class Runtime {
   /// nodes, then reclaim the rest — including cross-node cycles, which
   /// per-node reference counting could never collect. Callable only on a
   /// quiescent machine (after run()); returns the number of actors
-  /// reclaimed. Reclaimed actors' descriptors remain as dead-letter sinks.
+  /// reclaimed. A reclaimed actor's descriptors are settled as on
+  /// termination: released if it never left its birthplace and has no
+  /// alias, kept as dead-letter sinks otherwise.
   std::size_t collect_garbage(std::span<const MailAddress> roots);
 
   /// Recorded protocol events (empty unless config.trace). Consumes them.

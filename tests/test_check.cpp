@@ -266,6 +266,47 @@ TEST(CheckProtocol, TerminationCounterConservationIsDetected) {
   EXPECT_EQ(v.detail1, 1u);
 }
 
+TEST(CheckProtocol, UnsafeDescriptorReclaimIsDetected) {
+  HandlerScope hs;
+  // A local descriptor at epoch 0 with nothing waiting on it: safe.
+  check::audit_descriptor_reclaim(2, /*local=*/true, /*epoch=*/0,
+                                  /*fir_outstanding=*/false,
+                                  /*waiting_work=*/false);
+  EXPECT_TRUE(g_violations.empty());
+  // Each hazard alone makes the release a violation.
+  check::audit_descriptor_reclaim(2, false, 0, false, false);
+  check::audit_descriptor_reclaim(2, true, 3, false, false);
+  check::audit_descriptor_reclaim(2, true, 0, true, false);
+  check::audit_descriptor_reclaim(2, true, 0, false, true);
+  ASSERT_EQ(g_violations.size(), 4u);
+  const std::uint64_t hazards[] = {
+      check::kReclaimNotLocal, check::kReclaimMigrated,
+      check::kReclaimFirPending, check::kReclaimWaitingWork};
+  for (std::size_t i = 0; i < g_violations.size(); ++i) {
+    const check::Violation& v = g_violations[i];
+    EXPECT_EQ(v.kind, check::ViolationKind::kUnsafeReclaim);
+    EXPECT_STREQ(check::violation_kind_name(v.kind), "unsafe-reclaim");
+    EXPECT_STREQ(v.component, "Kernel");
+    EXPECT_EQ(v.owner, NodeId{2});
+    EXPECT_EQ(v.detail1, hazards[i]);
+  }
+  EXPECT_EQ(g_violations[1].detail0, 3u);  // the epoch
+  // Actors that die where they were born release their descriptors, and
+  // every release passes the audit.
+  g_violations.clear();
+  RuntimeConfig cfg;
+  cfg.nodes = 2;
+  Runtime rt(cfg);
+  rt.load<Sink>();
+  for (NodeId n = 0; n < cfg.nodes; ++n) {
+    rt.inject<&Sink::on_die>(rt.spawn<Sink>(n));
+  }
+  rt.run();
+  EXPECT_EQ(rt.kernel(0).names().live_descriptors(), 0u);
+  EXPECT_EQ(rt.kernel(1).names().live_descriptors(), 0u);
+  EXPECT_TRUE(g_violations.empty());
+}
+
 #else  // !HAL_CHECK — prove the layer compiles away.
 
 // The release shells are empty classes: no fields, no vtables, nothing for

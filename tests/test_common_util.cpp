@@ -108,6 +108,44 @@ TEST(SlotPoolTest, NoArgAllocateReusesRecycledState) {
   EXPECT_EQ(plain.get(d).value, 0);
 }
 
+TEST(SlotPool, ExhaustedGenerationIsRetired) {
+  using Pool = SlotPool<int>;
+  Pool pool;
+  const SlotId first = pool.allocate(1);
+  pool.free(first);
+  pool.preseed_generation_for_test(first.index, Pool::kLastGen - 1);
+  const SlotId last = pool.allocate(2);
+  EXPECT_EQ(last.index, first.index);
+  EXPECT_EQ(last.gen, Pool::kLastGen);
+  pool.free(last);
+  EXPECT_EQ(pool.size(), 0u);
+  // The slot is retired, not wrapped to generation 1: the next allocation
+  // takes a new slot, and no id the old slot issued resolves again.
+  const SlotId next = pool.allocate(3);
+  EXPECT_NE(next.index, last.index);
+  EXPECT_EQ(pool.capacity(), 2u);
+  EXPECT_EQ(pool.try_get(first), nullptr);
+  EXPECT_EQ(pool.try_get(last), nullptr);
+  EXPECT_TRUE(pool.issued(first));
+  EXPECT_TRUE(pool.issued(last));
+  // Later reuse keeps away from the retired slot.
+  pool.free(next);
+  EXPECT_EQ(pool.allocate(4).index, next.index);
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(SlotPool, IssuedTellsFreedIdsFromForgedOnes) {
+  SlotPool<int> pool;
+  const SlotId a = pool.allocate(1);
+  pool.free(a);
+  const SlotId b = pool.allocate(2);
+  EXPECT_TRUE(pool.issued(a));  // freed, once handed out
+  EXPECT_TRUE(pool.issued(b));  // live
+  EXPECT_FALSE(pool.issued(SlotId{b.index, b.gen + 1}));  // not yet issued
+  EXPECT_FALSE(pool.issued(SlotId{b.index + 1, 1}));      // no such slot
+  EXPECT_FALSE(pool.issued(SlotId{}));                    // invalid
+}
+
 TEST(SlotPool, StressReuse) {
   SlotPool<std::uint64_t> pool;
   std::vector<SlotId> ids;

@@ -82,7 +82,7 @@ TEST_F(EdgeFixture, RemoteSendToTerminatedActorIsDeadLettered) {
   EXPECT_EQ(Echo::self_hits, 0);
 }
 
-TEST_F(EdgeFixture, TerminationFreesActorButKeepsDescriptor) {
+TEST_F(EdgeFixture, TerminationFreesActorAndItsDescriptor) {
   Runtime rt(cfg(1));
   rt.load<Echo>();
   const MailAddress e = rt.spawn<Echo>(0);
@@ -90,11 +90,151 @@ TEST_F(EdgeFixture, TerminationFreesActorButKeepsDescriptor) {
   rt.run();
   Kernel& k = rt.kernel(0);
   EXPECT_EQ(k.live_actors(), 0u);
-  // The descriptor persists as a dead-letter sink (no GC yet, like the
-  // paper, which defers reclamation to future work).
-  EXPECT_NE(k.names().try_descriptor(e.desc), nullptr);
+  // Born here, never moved, no alias: no other node can be led to the
+  // descriptor, so it is released with the actor.
+  EXPECT_EQ(k.names().try_descriptor(e.desc), nullptr);
+  EXPECT_EQ(k.names().live_descriptors(), 0u);
   EXPECT_FALSE(k.locality_check(e).valid());
 }
+
+// --- Stale sends to a recycled descriptor slot -----------------------------------
+
+/// Counts the pokes each instance receives; dies on request.
+class Mortal : public ActorBase {
+ public:
+  void on_poke(Context& ctx) {
+    ++pokes;
+    ctx.reply(std::int64_t{1});
+  }
+  void on_die(Context& ctx) {
+    ctx.reply(std::int64_t{0});
+    ctx.terminate();
+  }
+  HAL_BEHAVIOR(Mortal, &Mortal::on_poke, &Mortal::on_die)
+  std::int64_t pokes = 0;
+};
+
+/// Lives on the victim's node: kills the victim, then creates a successor
+/// there, which takes the victim's released descriptor slot.
+class Replacer : public ActorBase {
+ public:
+  void on_replace(Context& ctx, MailAddress victim) {
+    const ContRef done = ctx.message()->cont;
+    const MailAddress me = ctx.self();
+    ctx.request<&Mortal::on_die>(
+        victim, [me, done](Context& c, const JoinView&) {
+          // The victim's reply can fill this join inside its last method,
+          // before its slot is freed: create the successor from a message.
+          c.send_cont<&Replacer::on_succeed>(me, done);
+        });
+  }
+  void on_succeed(Context& ctx) {
+    successor = ctx.create<Mortal>();
+    ctx.reply(std::int64_t{1});
+  }
+  HAL_BEHAVIOR(Replacer, &Replacer::on_replace, &Replacer::on_succeed)
+  inline static MailAddress successor{};
+};
+
+/// Has the victim replaced, then pokes the victim's old address. With
+/// `warm`, it first pokes the live victim, so the delivery's cache fill
+/// gives the final poke a descriptor hint.
+class StaleSender : public ActorBase {
+ public:
+  void on_go(Context& ctx, MailAddress victim, MailAddress replacer,
+             bool warm) {
+    if (!warm) {
+      replace_then_poke(ctx, victim, replacer);
+      return;
+    }
+    ctx.request<&Mortal::on_poke>(
+        victim, [victim, replacer](Context& c, const JoinView&) {
+          replace_then_poke(c, victim, replacer);
+        });
+  }
+  HAL_BEHAVIOR(StaleSender, &StaleSender::on_go)
+
+ private:
+  static void replace_then_poke(Context& ctx, MailAddress victim,
+                                MailAddress replacer) {
+    ctx.request<&Replacer::on_replace>(
+        replacer,
+        [victim](Context& c, const JoinView&) {
+          c.send<&Mortal::on_poke>(victim);
+        },
+        victim);
+  }
+};
+
+class StaleSend : public ::testing::TestWithParam<MachineKind> {
+ protected:
+  /// Victim and replacer on node 1, the sender on `sender_node` of 3.
+  void run(NodeId sender_node, bool warm) {
+    Replacer::successor = {};
+    RuntimeConfig c;
+    c.nodes = 3;
+    c.machine = GetParam();
+    Runtime rt(c);
+    rt.load<Mortal>();
+    rt.load<Replacer>();
+    rt.load<StaleSender>();
+    victim_ = rt.spawn<Mortal>(1);
+    const MailAddress replacer = rt.spawn<Replacer>(1);
+    const MailAddress sender = rt.spawn<StaleSender>(sender_node);
+    rt.inject<&StaleSender::on_go>(sender, victim_, replacer, warm);
+    rt.run();
+
+    const MailAddress succ = Replacer::successor;
+    ASSERT_TRUE(succ.valid());
+    // The successor holds the victim's descriptor slot, one generation on.
+    EXPECT_EQ(succ.desc.index, victim_.desc.index);
+    EXPECT_NE(succ.desc.gen, victim_.desc.gen);
+    EXPECT_EQ(rt.find_behavior<Mortal>(victim_), nullptr);
+    const Mortal* s = rt.find_behavior<Mortal>(succ);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->pokes, 0);
+    const obs::RunReport r = rt.report();
+    EXPECT_EQ(r.dead_letters, 1u);
+    EXPECT_EQ(r.dead_letter_causes[static_cast<std::size_t>(
+                  DeadLetterCause::kStaleDescriptor)],
+              1u);
+    sender_table_hint_ = {};
+    if (sender_node != victim_.home) {
+      Kernel& ks = rt.kernel(sender_node);
+      const SlotId ds = ks.names().resolve(victim_);
+      ASSERT_TRUE(ds.valid());
+      sender_table_hint_ = ks.names().descriptor(ds).remote_desc;
+    }
+  }
+
+  MailAddress victim_;
+  SlotId sender_table_hint_;  // the sender's cached descriptor hint
+};
+
+TEST_P(StaleSend, LocalSendDeadLettersAsStale) { run(1, /*warm=*/false); }
+
+TEST_P(StaleSend, RemoteSendWithoutHintDeadLettersAsStale) {
+  run(0, /*warm=*/false);
+  // The sender first learned of the victim from the stale poke itself, and
+  // a dead letter sends no cache fill back.
+  EXPECT_FALSE(sender_table_hint_.valid());
+}
+
+TEST_P(StaleSend, RemoteSendWithCachedHintDeadLettersAsStale) {
+  run(0, /*warm=*/true);
+  // The warm-up delivery's cache fill landed: the stale poke carried the
+  // victim's old descriptor slot as its hint.
+  EXPECT_EQ(sender_table_hint_, victim_.desc);
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, StaleSend,
+                         ::testing::Values(MachineKind::kSim,
+                                           MachineKind::kMn),
+                         [](const auto& param_info) {
+                           return param_info.param == MachineKind::kSim
+                                      ? "Sim"
+                                      : "Mn";
+                         });
 
 // --- Payload size boundaries ---------------------------------------------------------
 

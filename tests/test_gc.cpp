@@ -144,10 +144,36 @@ TEST(Gc, SendingToReclaimedActorDeadLetters) {
   const MailAddress stray = rt.spawn<RefHolder>(1);
   rt.run();
   EXPECT_EQ(rt.collect_garbage({}), 1u);
-  // The descriptor survives as a dead-letter sink: a stale send is counted
-  // and dropped, not a crash.
+  // The reaped address no longer resolves: a stale send is counted and
+  // dropped, not a crash.
   Kernel& k1 = rt.kernel(1);
   EXPECT_FALSE(k1.locality_check(stray).valid());
+}
+
+TEST(Gc, ReapReclaimsNeverMigratedDescriptor) {
+  RuntimeConfig cfg;
+  cfg.nodes = 2;
+  Runtime rt(cfg);
+  rt.load<RefHolder>();
+  const MailAddress stray = rt.spawn<RefHolder>(1);
+  const MailAddress kept = rt.spawn<RefHolder>(1);
+  rt.run();
+  const std::array<MailAddress, 1> roots = {kept};
+  EXPECT_EQ(rt.collect_garbage(roots), 1u);
+  Kernel& k1 = rt.kernel(1);
+  // Born on node 1 and never moved: the sweep released its descriptor.
+  EXPECT_EQ(k1.names().try_descriptor(stray.desc), nullptr);
+  EXPECT_NE(k1.names().try_descriptor(kept.desc), nullptr);
+  EXPECT_EQ(k1.names().live_descriptors(), 1u);
+  // A send to the reaped address misses on its home node and is counted
+  // as a stale dead letter.
+  check::ScopedExecutionNode scope(1);
+  Message m;
+  m.dest = stray;
+  m.selector = sel<&RefHolder::on_set>();
+  k1.send_message(std::move(m));
+  EXPECT_EQ(k1.dead_letters(DeadLetterCause::kStaleDescriptor), 1u);
+  EXPECT_EQ(rt.dead_letters(), 1u);
 }
 
 TEST(Gc, InterpretedActorsTraceAutomatically) {

@@ -138,6 +138,86 @@ TEST_P(LoadBalanceTest, IdleMachineStaysQuiescent) {
   EXPECT_EQ(stats.get(Stat::kStealRequestsSent), 0u);
 }
 
+std::uint64_t fib_of(std::uint64_t n) {
+  return n < 2 ? n : fib_of(n - 1) + fib_of(n - 2);
+}
+
+/// An actor per fib call at or above the cutoff; its two children are
+/// relocatable, as in the Table 4 workload (apps::run_fib).
+class StolenFib : public ActorBase {
+ public:
+  void on_compute(Context& ctx, std::uint64_t n, std::uint64_t cutoff,
+                  ContRef reply) {
+    if (n < cutoff) {
+      ctx.charge_work(4 * fib_of(n + 1));
+      ctx.reply_to(reply, fib_of(n));
+      ctx.terminate();
+      return;
+    }
+    const ContRef join =
+        ctx.make_join(2, [reply](Context& jc, const JoinView& v) {
+          jc.kernel().reply_to(reply, v.word(0) + v.word(1));
+        });
+    const MailAddress left = ctx.create<StolenFib>();
+    const MailAddress right = ctx.create<StolenFib>();
+    ctx.set_relocatable(left, true);
+    ctx.set_relocatable(right, true);
+    ctx.send<&StolenFib::on_compute>(left, n - 1, cutoff, join.at(0));
+    ctx.send<&StolenFib::on_compute>(right, n - 2, cutoff, join.at(1));
+    ctx.terminate();
+  }
+  HAL_BEHAVIOR(StolenFib, &StolenFib::on_compute)
+  bool migratable() const override { return true; }
+  void pack_state(ByteWriter&) const override {}
+  void unpack_state(ByteReader&) override {}
+};
+
+class StolenFibRoot : public ActorBase {
+ public:
+  void on_start(Context& ctx, std::uint64_t n, std::uint64_t cutoff) {
+    const ContRef join = ctx.make_join(
+        1, [self = ctx.self()](Context& jc, const JoinView& v) {
+          jc.send<&StolenFibRoot::on_done>(self, v.word(0));
+        });
+    const MailAddress top = ctx.create<StolenFib>();
+    ctx.set_relocatable(top, true);
+    ctx.send<&StolenFib::on_compute>(top, n, cutoff, join.at(0));
+  }
+  void on_done(Context&, std::uint64_t value) { result = value; }
+  HAL_BEHAVIOR(StolenFibRoot, &StolenFibRoot::on_start, &StolenFibRoot::on_done)
+  std::uint64_t result = 0;
+};
+
+TEST_P(LoadBalanceTest, NameTablesHoldLiveActorsAndMigratedForwardState) {
+  constexpr std::uint64_t kN = 24;
+  Runtime rt(cfg(4, /*lb=*/true));
+  rt.load<StolenFib>();
+  rt.load<StolenFibRoot>();
+  const MailAddress root = rt.spawn<StolenFibRoot>(0);
+  rt.inject<&StolenFibRoot::on_start>(root, kN, std::uint64_t{8});
+  rt.run();
+  const StolenFibRoot* r = rt.find_behavior<StolenFibRoot>(root);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->result, fib_of(kN));
+  std::size_t descriptors = 0;
+  std::size_t live = 0;
+  for (NodeId n = 0; n < rt.nodes(); ++n) {
+    descriptors += rt.kernel(n).names().live_descriptors();
+    live += rt.kernel(n).live_actors();
+  }
+  const StatBlock stats = rt.report().total;
+  const std::uint64_t migrations = stats.get(Stat::kMigrationsIn);
+  EXPECT_EQ(live, 1u);  // the root
+  // An actor that died where it was born, unmoved, left no descriptor. A
+  // stolen one leaves at most its birthplace's forward pointer plus one
+  // descriptor per node it reached, and each of those took a migration.
+  EXPECT_LE(descriptors, live + 2 * migrations);
+  EXPECT_GT(stats.get(Stat::kActorsCreatedLocal), 1000u);
+  if (GetParam() == MachineKind::kSim) {
+    EXPECT_GT(migrations, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Machines, LoadBalanceTest,
                          ::testing::Values(MachineKind::kSim,
                                            MachineKind::kMn),

@@ -283,6 +283,168 @@ TEST_P(MigrationTest, ManyHopsStressForwardChains) {
   EXPECT_EQ(rt.dead_letters(), 0u);
 }
 
+// --- Dead actors that other nodes may still be led to ---------------------------
+
+/// Migrates or dies on request, replying first either way.
+class Nomad : public ActorBase {
+ public:
+  void on_hop(Context& ctx, NodeId target) {
+    ctx.reply(std::int64_t{1});
+    ctx.migrate_to(target);
+  }
+  void on_die(Context& ctx) {
+    ctx.reply(std::int64_t{0});
+    ctx.terminate();
+  }
+  HAL_BEHAVIOR(Nomad, &Nomad::on_hop, &Nomad::on_die)
+  bool migratable() const override { return true; }
+  void pack_state(ByteWriter&) const override {}
+  void unpack_state(ByteReader&) override {}
+};
+
+/// A third party that has never sent to `target` before: its send routes
+/// to the address's fallback node.
+class Poker : public ActorBase {
+ public:
+  void on_poke_at(Context& ctx, MailAddress target) {
+    ctx.send<&Nomad::on_die>(target);
+  }
+  HAL_BEHAVIOR(Poker, &Poker::on_poke_at)
+};
+
+/// Moves the nomad to `first` (and on to `second`, if valid), kills it
+/// there, then has the poker send to it. Each step waits for the last
+/// one's reply, so the poke is sent after the nomad died.
+class Tour : public ActorBase {
+ public:
+  void on_go(Context& ctx, MailAddress nomad, MailAddress poker, NodeId first,
+             NodeId second) {
+    nomad_ = nomad;
+    poker_ = poker;
+    second_ = second;
+    ctx.request<&Nomad::on_hop>(
+        nomad_, [this](Context& c, const JoinView&) { hop_again(c); }, first);
+  }
+  HAL_BEHAVIOR(Tour, &Tour::on_go)
+
+ private:
+  void hop_again(Context& ctx) {
+    if (second_ == kInvalidNode) {
+      kill(ctx);
+      return;
+    }
+    ctx.request<&Nomad::on_hop>(
+        nomad_, [this](Context& c, const JoinView&) { kill(c); }, second_);
+  }
+  void kill(Context& ctx) {
+    ctx.request<&Nomad::on_die>(nomad_, [this](Context& c, const JoinView&) {
+      c.send<&Poker::on_poke_at>(poker_, nomad_);
+    });
+  }
+
+  MailAddress nomad_;
+  MailAddress poker_;
+  NodeId second_ = kInvalidNode;
+};
+
+/// Creates a nomad on node 1 through an alias and kills it; then the alias's
+/// home and a third party send to the alias.
+class AliasThenKill : public ActorBase {
+ public:
+  void on_go(Context& ctx, MailAddress poker) {
+    const MailAddress alias = ctx.create_on<Nomad>(1);
+    created = alias;
+    ctx.request<&Nomad::on_die>(
+        alias, [alias, poker](Context& c, const JoinView&) {
+          c.send<&Nomad::on_die>(alias);
+          c.send<&Poker::on_poke_at>(poker, alias);
+        });
+  }
+  HAL_BEHAVIOR(AliasThenKill, &AliasThenKill::on_go)
+  inline static MailAddress created{};
+};
+
+std::uint64_t stale_letters(Runtime& rt) {
+  return rt.report().dead_letter_causes[static_cast<std::size_t>(
+      DeadLetterCause::kStaleDescriptor)];
+}
+
+TEST_P(MigrationTest, MigratedThenDeadKeepsDescriptors) {
+  Runtime rt(cfg(4));
+  rt.load<Nomad>();
+  rt.load<Poker>();
+  rt.load<Tour>();
+  const MailAddress nomad = rt.spawn<Nomad>(0);
+  const MailAddress poker = rt.spawn<Poker>(2);
+  rt.inject<&Tour::on_go>(rt.spawn<Tour>(3), nomad, poker, NodeId{1},
+                          kInvalidNode);
+  rt.run();
+  // Node 0 forwards to node 1, where the nomad died: both keep their
+  // descriptors, because forward state on other nodes may lead there.
+  const LocalityDescriptor* home = rt.kernel(0).names().try_descriptor(
+      nomad.desc);
+  ASSERT_NE(home, nullptr);
+  EXPECT_FALSE(home->local());
+  EXPECT_EQ(home->remote_node, 1u);
+  const SlotId at_host = rt.kernel(1).names().resolve(nomad);
+  ASSERT_TRUE(at_host.valid());
+  EXPECT_TRUE(rt.kernel(1).names().descriptor(at_host).local());
+  EXPECT_EQ(rt.kernel(1).live_actors(), 0u);
+  // The poker's send went to the birthplace, was parked there and chased
+  // by an FIR (as was the kill), and dead-lettered at the sink.
+  EXPECT_GE(rt.report().total.get(Stat::kFirSent), 2u);
+  EXPECT_EQ(rt.dead_letters(), 1u);
+  EXPECT_EQ(stale_letters(rt), 1u);
+}
+
+TEST_P(MigrationTest, ReturnedHomeThenDeadKeepsDescriptor) {
+  Runtime rt(cfg(4));
+  rt.load<Nomad>();
+  rt.load<Poker>();
+  rt.load<Tour>();
+  const MailAddress nomad = rt.spawn<Nomad>(0);
+  const MailAddress poker = rt.spawn<Poker>(2);
+  rt.inject<&Tour::on_go>(rt.spawn<Tour>(3), nomad, poker, NodeId{1},
+                          NodeId{0});
+  rt.run();
+  // The nomad died on its birthplace, but after two migrations: node 1
+  // still points there, so the birthplace keeps the descriptor as a sink.
+  const LocalityDescriptor* home = rt.kernel(0).names().try_descriptor(
+      nomad.desc);
+  ASSERT_NE(home, nullptr);
+  EXPECT_TRUE(home->local());
+  EXPECT_EQ(home->epoch, 2u);
+  const SlotId at_node1 = rt.kernel(1).names().resolve(nomad);
+  ASSERT_TRUE(at_node1.valid());
+  EXPECT_EQ(rt.kernel(1).names().descriptor(at_node1).remote_node, 0u);
+  EXPECT_EQ(rt.dead_letters(), 1u);
+  EXPECT_EQ(stale_letters(rt), 1u);
+}
+
+TEST_P(MigrationTest, AliasedThenDeadKeepsDescriptors) {
+  AliasThenKill::created = {};
+  Runtime rt(cfg(3));
+  rt.load<Nomad>();
+  rt.load<Poker>();
+  rt.load<AliasThenKill>();
+  const MailAddress poker = rt.spawn<Poker>(2);
+  rt.inject<&AliasThenKill::on_go>(rt.spawn<AliasThenKill>(0), poker);
+  rt.run();
+  const MailAddress alias = AliasThenKill::created;
+  ASSERT_TRUE(alias.alias);
+  // The alias's descriptor on its home and the actor's own descriptor on
+  // node 1, which the alias is bound to, both survive the death.
+  EXPECT_NE(rt.kernel(0).names().try_descriptor(alias.desc), nullptr);
+  const SlotId bound = rt.kernel(1).names().resolve(alias);
+  ASSERT_TRUE(bound.valid());
+  EXPECT_TRUE(rt.kernel(1).names().descriptor(bound).local());
+  EXPECT_EQ(rt.kernel(1).names().live_descriptors(), 1u);
+  EXPECT_EQ(rt.kernel(1).live_actors(), 0u);
+  // The sends from the alias's home and from node 2 both dead-letter.
+  EXPECT_EQ(rt.dead_letters(), 2u);
+  EXPECT_EQ(stale_letters(rt), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Machines, MigrationTest,
                          ::testing::Values(MachineKind::kSim,
                                            MachineKind::kMn),
