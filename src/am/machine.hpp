@@ -33,7 +33,7 @@ class ProbeRecorder;
 
 namespace hal::am {
 
-/// Per-node logic attached to a machine. All four methods are invoked on the
+/// Per-node logic attached to a machine. All its methods are invoked on the
 /// node's own execution stream; implementations need no internal locking.
 class NodeClient {
  public:
@@ -45,12 +45,18 @@ class NodeClient {
   /// A coalesced frame is about to decode into `count` consecutive handle()
   /// calls that all left the wire in one physical arrival at machine time
   /// `now`. Clients may cache `now` as the delivery timestamp for the whole
-  /// burst instead of re-reading the machine clock per record — on the
-  /// wall-clock machines a clock read costs a third of the delivery path,
-  /// and one frame genuinely has one arrival time. Paired with
-  /// on_frame_end() after the last record of the frame.
+  /// burst instead of re-reading the machine clock per record: on
+  /// MnMachine a read costs tens of ns (FastClock), and one frame genuinely
+  /// has one arrival time. Paired with on_frame_end() after the last record
+  /// of the frame.
   virtual void on_frame_begin(SimTime /*now*/, std::uint32_t /*count*/) {}
   virtual void on_frame_end() {}
+
+  /// MnMachine is about to run a quantum of this node: the node's stream
+  /// resumes on some worker after a gap of unknown length. A client that
+  /// reuses clock readings (Kernel::stamp) drops them here, so no span
+  /// crosses an idle gap.
+  virtual void on_quantum_begin() {}
 
   /// Perform one unit of local work (e.g. dispatch one actor message).
   /// Returns false if there was nothing to do.
@@ -130,6 +136,11 @@ class Machine {
   /// Current time on a node: virtual ns (SimMachine) or wall ns since
   /// machine construction (MnMachine).
   virtual SimTime now(NodeId node) const = 0;
+
+  /// True when now() reads a virtual clock: free to read, and moved only by
+  /// charge() and the event loop. Clients then read it at every stamp; on a
+  /// wall clock (MnMachine) they may reuse a reading instead.
+  virtual bool virtual_clock() const noexcept { return false; }
 
   /// Execute until quiescence (no packets in flight, no local work, no work
   /// tokens outstanding) or until stop() is called.

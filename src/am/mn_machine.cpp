@@ -292,6 +292,7 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
     // over race-free.
     check::ScopedExecutionNode scope(n);
     NodeClient& c = client(n);
+    c.on_quantum_begin();
     const std::size_t drained = exec_.drain(n, *this, w, kDrainQuantum);
     const std::size_t stepped = exec_.step_quantum(n, kStepQuantum);
     if (drained + stepped > 0) s.idle_notified = false;

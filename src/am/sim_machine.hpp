@@ -36,6 +36,7 @@ class SimMachine final : public Machine, private LinkSink {
   void send(Packet p) override;
   void charge(NodeId node, SimTime ns) override;
   SimTime now(NodeId node) const override;
+  bool virtual_clock() const noexcept override { return true; }
   void run() override;
   void configure_faults(const FaultConfig& cfg) override;
   void configure_batching(const BatchConfig& cfg) override;

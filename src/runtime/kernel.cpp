@@ -146,9 +146,11 @@ bool Kernel::step() {
     for (std::uint32_t n = 0; n < kMailboxBurst; ++n) {
       Message m = std::move(rec->mailbox.front());
       rec->mailbox.pop_front();
+      // Ends at the node's reading: the previous method's end, when this
+      // burst or quantum already ran one.
       if (m.enqueued_at != 0) {
         probes_.record_span(obs::Probe::kMailboxResidency, m.enqueued_at,
-                            machine_.now(self_));
+                            stamp());
       }
       run_method(item->actor, std::move(m), /*cheap_dispatch=*/false);
       // The method may have killed or migrated the actor (the slot lookup
@@ -246,6 +248,9 @@ MailAddress Kernel::create(BehaviorId behavior, NodeId target) {
 SlotId Kernel::install_actor(std::unique_ptr<ActorBase> impl,
                              BehaviorId behavior, const MailAddress& addr_in,
                              const MailAddress& alias, std::uint32_t epoch) {
+  // The behaviour's constructor (and a migrant's unpack_state) just ran:
+  // user code.
+  reading_ = 0;
   const SlotId aslot = actors_.allocate();
   MailAddress addr = addr_in;
   SlotId dslot;
@@ -339,7 +344,7 @@ void Kernel::deliver_local(SlotId actor_slot, Message m) {
     return;
   }
   charge(costs().enqueue_ns);
-  m.enqueued_at = delivery_now();
+  m.enqueued_at = stamp();
   rec->mailbox.push_back(std::move(m));
   stats_.bump(Stat::kMessagesDelivered);
   schedule(actor_slot);
@@ -372,7 +377,7 @@ SlotId Kernel::locality_check(const MailAddress& addr) {
 // --- Method execution -------------------------------------------------------------
 
 void Kernel::execute_message(SlotId actor_slot, Message& m) {
-  const SimTime t0 = machine_.now(self_);
+  const SimTime t0 = dispatch_stamp();
   ActorRecord& rec = actors_.get(actor_slot);
   // The behaviour object is heap-stable; the record reference is not (the
   // method may create actors and grow the pool), so take the raw pointer
@@ -380,12 +385,21 @@ void Kernel::execute_message(SlotId actor_slot, Message& m) {
   ActorBase* impl = rec.impl.get();
   Context ctx(*this, actor_slot, rec.address, &m);
   const void* watched = pool_.watch(m.payload);
+  // The body is user code: it drops the reading, and its own stamps (a
+  // send's enqueue stamp, Context::now) read the clock.
+  ++bodies_;
+  reading_ = 0;
   impl->dispatch_message(ctx, m);
   if (auto next = ctx.take_become()) {
     charge(costs().become_ns);
     actors_.get(actor_slot).impl = std::move(next);
   }
-  probes_.record_span(obs::Probe::kMethodExecution, t0, machine_.now(self_));
+  --bodies_;
+  // The one read per message: it ends this span and, unless an enclosing
+  // body still runs (static dispatch), becomes the node's reading.
+  const SimTime t1 = machine_.now(self_);
+  hold(t1);
+  probes_.record_span(obs::Probe::kMethodExecution, t0, t1);
   // The message is consumed; recycle its payload buffer (a no-op shell if
   // the method moved the blob out — recorded as an escape, the buffer now
   // belongs to user code).
@@ -404,7 +418,7 @@ void Kernel::run_method(SlotId actor_slot, Message m, bool cheap_dispatch) {
   charge(costs().constraint_check_ns);
   if (!rec->impl->method_enabled(m.selector)) {
     charge(costs().enqueue_ns);
-    m.enqueued_at = machine_.now(self_);
+    m.enqueued_at = dispatch_stamp();
     rec->pending.push_back(std::move(m));
     stats_.bump(Stat::kPendingEnqueued);
     post_method(actor_slot, *rec);
@@ -450,7 +464,7 @@ void Kernel::replay_pending(SlotId actor_slot) {
         stats_.bump(Stat::kPendingReplayed);
         if (m.enqueued_at != 0) {
           probes_.record_span(obs::Probe::kPendingResidency, m.enqueued_at,
-                              machine_.now(self_));
+                              dispatch_stamp());
         }
         charge(costs().dispatch_ns);
         execute_message(actor_slot, m);
@@ -587,7 +601,10 @@ void Kernel::fill_join(const ContRef& ref, std::uint64_t word, Bytes blob) {
                       machine_.now(self_));
   trace_mark(trace::EventKind::kJoinFired, done.slot_count);
   Context ctx(*this, SlotId{}, done.creator, nullptr);
+  ++bodies_;  // user code, like a method body (execute_message)
+  reading_ = 0;
   done.function(ctx, done.view());
+  --bodies_;
   // The body has consumed the joined values; retire the reply blobs
   // (pool-acquired on arrival in on_reply / the bulk reply path).
   for (Bytes& b : done.blobs()) pool_.release(std::move(b));
@@ -705,6 +722,7 @@ void Kernel::perform_migration(SlotId actor_slot, NodeId target) {
   const void* state_id = pool_.watch(state_buf);
   ByteWriter state(std::move(state_buf));
   rec.impl->pack_state(state);
+  reading_ = 0;  // pack_state is user code
   Bytes state_bytes = std::move(state).take();
   pool_.note_escape_if_moved(state_id, state_bytes);
   w.write_bytes(state_bytes);

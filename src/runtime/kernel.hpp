@@ -109,11 +109,34 @@ class Kernel final : public am::NodeClient {
     frame_now_ = now;
   }
   void on_frame_end() override { frame_now_ = 0; }
-  /// Delivery timestamp for the message being handled: the enclosing
-  /// frame's arrival time during a decode burst, a live clock read
-  /// otherwise.
-  SimTime delivery_now() const {
-    return frame_now_ != 0 ? frame_now_ : machine_.now(self_);
+  /// A new quantum of this node's stream: whatever the node last read may
+  /// be an idle gap old. Holding starts with the first quantum on a clock
+  /// that costs a read; bootstrap calls before run() come from user code on
+  /// another thread and hold nothing.
+  void on_quantum_begin() override {
+    reading_ = 0;
+    holds_readings_ = !machine_.virtual_clock();
+  }
+
+  /// Time stamp for the kernel's probe endpoints: deliveries, mailbox and
+  /// pending residency, method start. One rule:
+  ///   * inside a frame-decode burst, the frame's arrival time, which all
+  ///     its records share;
+  ///   * otherwise the node's held reading, if any;
+  ///   * otherwise a live read, held when the clock costs a read
+  ///     (!Machine::virtual_clock()) and no user code is running.
+  /// The read that ends a method is held too (execute_message). A quantum
+  /// start and user code (method and join bodies, constructors, pack_state
+  /// and unpack_state) drop the reading, so one is reused only across
+  /// kernel bookkeeping: a burst of n messages costs n + 1 reads instead of
+  /// 3n. Under a virtual clock nothing is held, and stamp() is exactly a
+  /// live read or the frame's arrival time.
+  SimTime stamp() {
+    if (frame_now_ != 0) return frame_now_;
+    if (reading_ != 0) return reading_;
+    const SimTime t = machine_.now(self_);
+    hold(t);
+    return t;
   }
 
   // --- Actor creation (§5) ---------------------------------------------------
@@ -330,6 +353,19 @@ class Kernel final : public am::NodeClient {
   /// Dead-letter a message to a home address that no longer resolves:
   /// stale when this node minted the address, unknown otherwise.
   void dead_letter_home_miss(Message& m);
+  /// Keep `t` as the node's reading, unless the node holds none (a virtual
+  /// clock, or before its first quantum) or a body is running (a later
+  /// stamp in that body would cross user code).
+  void hold(SimTime t) {
+    if (holds_readings_ && bodies_ == 0) reading_ = t;
+  }
+  /// stamp() on the dispatch path (method start, pending stamps, replay
+  /// residency). A static dispatch nested in a running body belongs to that
+  /// body: it reads the clock, and never takes the arrival time of a frame
+  /// whose decode ran the body (a join continuation).
+  SimTime dispatch_stamp() {
+    return bodies_ == 0 ? stamp() : machine_.now(self_);
+  }
 
   am::Machine& machine_;
   const NodeId self_;  // write-once identity, never a shared-state race
@@ -352,6 +388,11 @@ class Kernel final : public am::NodeClient {
   std::uint32_t group_seq_ = 0;
   std::uint32_t stack_depth_ = 0;
   SimTime frame_now_ = 0;  // nonzero only inside a frame-decode burst
+  // stamp()'s held reading (0 = none) and the method and join bodies on
+  // this stream's stack; a reading is held only while bodies_ == 0.
+  bool holds_readings_ = false;  // see on_quantum_begin
+  SimTime reading_ = 0;
+  std::uint32_t bodies_ = 0;
   std::uint64_t dispatch_batch_len_ = 0;
   std::int64_t balancer_items_ = 0;  // see balancer_hint_add
   std::uint64_t dead_letters_ = 0;

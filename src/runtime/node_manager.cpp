@@ -59,7 +59,7 @@ void NodeManager::ship(Message m, SlotId desc_slot) {
 
 void NodeManager::on_actor_message(const am::Packet& p) {
   k_.probes().record_span(obs::Probe::kRemoteDelivery, p.stamp,
-                          k_.delivery_now());
+                          k_.stamp());
   Message m;
   m.dest = MailAddress::unpack(p.words[0], p.words[1]);
   m.selector = unpack_sel(p.words[2]);

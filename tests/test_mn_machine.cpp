@@ -10,6 +10,7 @@
 // shake.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -329,6 +330,70 @@ TEST(MnMachineRuntime, ReportCarriesMachineKindAndWorkerCount) {
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"machine\":\"mn\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\":3"), std::string::npos);
+}
+
+// --- Probe spans across idle gaps ---------------------------------------------
+
+/// A sends to B on the other node and returns; B holds its worker for
+/// kGapBusy of wall time, then answers. Node 0 sits idle for the whole gap.
+class GapEcho;
+class GapStarter : public ActorBase {
+ public:
+  void on_start(Context& ctx, MailAddress echo);
+  void on_back(Context&) { ++backs; }
+  HAL_BEHAVIOR(GapStarter, &GapStarter::on_start, &GapStarter::on_back)
+  std::uint64_t backs = 0;
+};
+
+class GapEcho : public ActorBase {
+ public:
+  void on_work(Context& ctx, MailAddress from) {
+    // One ms past the asserted 50 leaves room for FastClock's calibration
+    // error, which the span is measured in.
+    const auto until = std::chrono::steady_clock::now() + kGapBusy +
+                       std::chrono::milliseconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    ctx.send<&GapStarter::on_back>(from);
+  }
+  HAL_BEHAVIOR(GapEcho, &GapEcho::on_work)
+  static constexpr std::chrono::milliseconds kGapBusy{50};
+};
+
+void GapStarter::on_start(Context& ctx, MailAddress echo) {
+  ctx.send<&GapEcho::on_work>(echo, ctx.self());
+}
+
+TEST(MnMachineRuntime, ProbeSpansStopAtIdleGaps) {
+  // The kernel reuses its last clock reading for the next message's
+  // residency end and method start. Node 0's reading from the end of
+  // on_start must not survive the 50 ms it sits idle: the quantum that runs
+  // on_back starts from a fresh read, so none of node 0's spans covers the
+  // gap.
+  RuntimeConfig cfg;
+  cfg.nodes = 2;
+  cfg.machine = MachineKind::kMn;
+  cfg.mn_workers = 2;
+  Runtime rt(cfg);
+  rt.load<GapStarter>();
+  rt.load<GapEcho>();
+  const MailAddress starter = rt.spawn<GapStarter>(0);
+  const MailAddress echo = rt.spawn<GapEcho>(1);
+  rt.inject<&GapStarter::on_start>(starter, echo);
+  rt.run();
+  const GapStarter* s = rt.find_behavior<GapStarter>(starter);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->backs, 1u);
+
+  const obs::RunReport r = rt.report();
+  ASSERT_EQ(r.per_node_probes.size(), 2u);
+  const auto max_ns = [&](NodeId n, obs::Probe p) {
+    return r.per_node_probes[n].histogram(p).max();
+  };
+  constexpr std::uint64_t kGapNs = 50'000'000;
+  EXPECT_LT(max_ns(0, obs::Probe::kMethodExecution), kGapNs / 2);
+  EXPECT_LT(max_ns(0, obs::Probe::kMailboxResidency), kGapNs / 2);
+  EXPECT_GE(max_ns(1, obs::Probe::kMethodExecution), kGapNs);
 }
 
 TEST(MnMachineRuntime, WorkerCountIsCappedAtNodeCount) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "obs/histogram.hpp"
 #include "obs/probe_recorder.hpp"
@@ -155,6 +158,44 @@ TEST(RunReport, JsonIsDeterministicAcrossSameSeedSimRuns) {
             std::string::npos);
   EXPECT_NE(a.find("\"buffers\":{\"acquired\":"), std::string::npos);
   EXPECT_NE(a.find("\"machine\":\"sim\""), std::string::npos);
+}
+
+/// A report's JSON without its `buffers` block, which only HAL_CHECK builds
+/// fill (the block is flat: it ends at the first closing brace).
+std::string without_buffers(std::string json) {
+  const std::size_t at = json.find(",\"buffers\":{");
+  if (at == std::string::npos) return json;
+  json.erase(at, json.find('}', at) + 1 - at);
+  return json;
+}
+
+TEST(RunReport, SimReportMatchesGolden) {
+  // SimMachine output is exact, so every charge, schedule decision and
+  // probe stamp shows in it. A change that moves it on purpose regenerates
+  // tests/golden/sim_run_report.json from the file this test writes next to
+  // its binary, and says so.
+  const std::string json = run_workload(MachineKind::kSim).to_json();
+  const std::string actual = without_buffers(json);
+  std::ifstream in(HAL_TEST_SOURCE_DIR "/golden/sim_run_report.json");
+  std::stringstream file;
+  if (in.good()) file << in.rdbuf();
+  std::string golden = without_buffers(file.str());
+  while (!golden.empty() && (golden.back() == '\n' || golden.back() == '\r')) {
+    golden.pop_back();
+  }
+  if (actual == golden) return;
+  std::size_t at = 0;
+  while (at < actual.size() && at < golden.size() && actual[at] == golden[at]) {
+    ++at;
+  }
+  const std::string path = HAL_TEST_BINARY_DIR "/sim_run_report.actual.json";
+  std::ofstream(path) << json << '\n';
+  const std::size_t from = at < 60 ? 0 : at - 60;
+  ADD_FAILURE() << "SimMachine report differs from the golden file at byte "
+                << at << " (buffers block removed)\n  golden: ..."
+                << golden.substr(from, 120) << "\n  actual: ..."
+                << actual.substr(from, 120) << "\nactual report written to "
+                << path;
 }
 
 TEST(RunReport, PerNodeStatsAndProbesSumToAggregate) {

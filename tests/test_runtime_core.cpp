@@ -381,6 +381,54 @@ TEST_P(RuntimeCore, ManyActorsManyMessages) {
   EXPECT_EQ(rt.dead_letters(), 0u);
 }
 
+/// Reaches method bodies every way the kernel dispatches: a 64-message burst
+/// through one mailbox, a nested static dispatch, a disabled method replayed
+/// from the pending queue, and a join body that sends.
+class DispatchMix : public ActorBase {
+ public:
+  void on_start(Context& ctx, MailAddress counter, MailAddress cell) {
+    for (int i = 0; i < 64; ++i) {
+      ctx.send<&Counter::on_inc>(counter, std::int64_t{1});
+    }
+    compiled::send_static<&Counter::on_inc>(ctx, counter, std::int64_t{100});
+    // on_take reaches the cell first and waits in its pending queue until
+    // on_put enables it.
+    ctx.request<&Cell::on_take>(
+        cell, [counter](Context& jc, const JoinView& v) {
+          jc.send<&Counter::on_inc>(counter, v.get<std::int64_t>(0));
+        });
+    ctx.send<&Cell::on_put>(cell, std::int64_t{1000});
+  }
+  HAL_BEHAVIOR(DispatchMix, &DispatchMix::on_start)
+};
+
+TEST_P(RuntimeCore, OneMethodSamplePerExecutedMessage) {
+  // The method-execution probe takes one sample per executed body, whatever
+  // path dispatched it, so its count is the dispatch counters' sum.
+  Runtime rt(cfg(2));
+  rt.load<Counter>();
+  rt.load<Cell>();
+  rt.load<DispatchMix>();
+  const MailAddress counter = rt.spawn<Counter>(0);
+  const MailAddress cell = rt.spawn<Cell>(1);
+  const MailAddress mix = rt.spawn<DispatchMix>(0);
+  rt.inject<&DispatchMix::on_start>(mix, counter, cell);
+  rt.run();
+  const Counter* c = rt.find_behavior<Counter>(counter);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value(), 64 + 100 + 1000);
+  EXPECT_EQ(rt.dead_letters(), 0u);
+
+  const obs::RunReport r = rt.report();
+  const std::uint64_t statics = r.total.get(Stat::kStaticDispatches);
+  const std::uint64_t generics = r.total.get(Stat::kGenericDispatches);
+  const std::uint64_t replayed = r.total.get(Stat::kPendingReplayed);
+  EXPECT_GE(statics, 1u);
+  EXPECT_GE(replayed, 1u);
+  EXPECT_EQ(r.probes.histogram(obs::Probe::kMethodExecution).count(),
+            statics + generics + replayed);
+}
+
 // --- Dispatch order (SimMachine) ---------------------------------------------------
 
 RuntimeConfig one_sim_node() {
