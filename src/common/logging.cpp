@@ -2,16 +2,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
-#include <string>
 
 namespace hal {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kError};
-std::once_flag g_env_once;
 std::mutex g_io_mutex;
 
 constexpr const char* level_name(LogLevel l) {
@@ -35,17 +31,6 @@ void set_log_level(LogLevel level) noexcept {
 
 LogLevel log_level() noexcept {
   return g_level.load(std::memory_order_relaxed);
-}
-
-void init_log_level_from_env() {
-  std::call_once(g_env_once, [] {
-    const char* env = std::getenv("HAL_LOG");
-    if (env == nullptr) return;
-    if (std::strcmp(env, "trace") == 0) set_log_level(LogLevel::kTrace);
-    else if (std::strcmp(env, "info") == 0) set_log_level(LogLevel::kInfo);
-    else if (std::strcmp(env, "warn") == 0) set_log_level(LogLevel::kWarn);
-    else if (std::strcmp(env, "error") == 0) set_log_level(LogLevel::kError);
-  });
 }
 
 namespace detail {

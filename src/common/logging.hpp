@@ -1,8 +1,8 @@
 // Minimal leveled logging.
 //
 // Off by default (level Error); tests and debugging sessions raise the level
-// via set_log_level or the HAL_LOG environment variable. Log lines carry the
-// emitting node id so interleaved protocol traces stay readable.
+// via set_log_level. Log lines carry the emitting node id so interleaved
+// protocol traces stay readable.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +16,6 @@ enum class LogLevel : std::uint8_t { kError = 0, kWarn, kInfo, kTrace };
 
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
-
-/// Reads HAL_LOG (error|warn|info|trace) once; called lazily on first log.
-void init_log_level_from_env();
 
 namespace detail {
 void log_line(LogLevel level, NodeId node, std::string_view msg);

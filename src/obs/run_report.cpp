@@ -1,11 +1,23 @@
 #include "obs/run_report.hpp"
 
+#include <ostream>
+
 namespace hal::obs {
 
 namespace {
 
 void append_u64(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
+}
+
+/// ns as µs with three decimals, in integers: 1200092800 -> "1200092.800".
+void append_us(std::string& out, std::uint64_t ns) {
+  append_u64(out, ns / 1000);
+  const auto frac = static_cast<unsigned>(ns % 1000);
+  out += '.';
+  out += static_cast<char>('0' + frac / 100);
+  out += static_cast<char>('0' + frac / 10 % 10);
+  out += static_cast<char>('0' + frac % 10);
 }
 
 void append_stats(std::string& out, const StatBlock& stats) {
@@ -118,6 +130,27 @@ std::string RunReport::to_json() const {
   append_probes(out, probes);
   out += '}';
   return out;
+}
+
+void write_chrome_trace(std::ostream& out, const std::vector<Span>& spans) {
+  out << "[\n";
+  std::string event;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    event.clear();
+    if (i != 0) event += ",\n";
+    event += "{\"name\":\"";
+    event += kProbeNames[static_cast<std::size_t>(s.probe)];
+    event += "\",\"pid\":0,\"tid\":";
+    append_u64(event, s.node);
+    event += ",\"ph\":\"X\",\"ts\":";
+    append_us(event, s.start);
+    event += ",\"dur\":";
+    append_us(event, s.duration);
+    event += '}';
+    out << event;
+  }
+  out << "\n]\n";
 }
 
 }  // namespace hal::obs

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -78,5 +79,12 @@ struct RunReport {
   /// }
   std::string to_json() const;
 };
+
+/// Serialize probe spans as a Chrome trace (chrome://tracing, Perfetto): a
+/// JSON array of complete events, one per span, in the given order. "tid"
+/// is the recording node, so each node gets one track; "name" is the
+/// probe's JSON key; "ts" and "dur" are µs with exactly three decimals, so
+/// no ns is lost.
+void write_chrome_trace(std::ostream& out, const std::vector<Span>& spans);
 
 }  // namespace hal::obs

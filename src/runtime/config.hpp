@@ -107,8 +107,9 @@ struct RuntimeConfig {
   /// cannot be scheduled.
   std::uint32_t mn_workers = 0;
 
-  /// Record protocol-level events for Chrome-trace export
-  /// (Runtime::write_trace). Deterministic under SimMachine.
+  /// Keep every probe span for Chrome-trace export (Runtime::write_trace),
+  /// beside the histograms the probes always fill. Deterministic under
+  /// SimMachine.
   bool trace = false;
 
   /// Fault injection on the active-message wire (am/fault.hpp). Enabling it

@@ -34,7 +34,7 @@ Kernel::Kernel(am::Machine& machine, NodeId self,
   affinity_.bind(self, "Kernel");
   pool_.bind_owner(self);
   dispatcher_.bind_owner(self);
-  probes_.bind_owner(self);
+  probes_.bind_owner(self, config.trace);
   groups_.bind(self);
 }
 
@@ -215,7 +215,6 @@ MailAddress Kernel::create_local(BehaviorId behavior) {
   std::unique_ptr<ActorBase> impl = registry_.construct(behavior);
   const SlotId aslot = install_actor(std::move(impl), behavior, {}, {});
   stats_.bump(Stat::kActorsCreatedLocal);
-  trace_mark(trace::EventKind::kCreateLocal, behavior);
   return actors_.get(aslot).address;
 }
 
@@ -234,7 +233,6 @@ MailAddress Kernel::create(BehaviorId behavior, NodeId target) {
   alias.behavior = behavior;
   alias.alias = true;
   stats_.bump(Stat::kAliasesAllocated);
-  trace_mark(trace::EventKind::kCreateAlias, target, behavior);
 
   am::Packet p;
   p.src = self_;
@@ -427,14 +425,7 @@ void Kernel::run_method(SlotId actor_slot, Message m, bool cheap_dispatch) {
   charge(cheap_dispatch ? costs().static_dispatch_ns : costs().dispatch_ns);
   stats_.bump(cheap_dispatch ? Stat::kStaticDispatches
                              : Stat::kGenericDispatches);
-  const SimTime t0 = tracing() ? machine_.now(self_) : 0;
-  const BehaviorId traced_behavior = rec->behavior;
-  const Selector traced_selector = m.selector;
   execute_message(actor_slot, m);
-  if (tracing()) {
-    trace_event(trace::EventKind::kMethod, t0, machine_.now(self_) - t0,
-                traced_behavior, traced_selector);
-  }
   rec = actors_.try_get(actor_slot);
   HAL_ASSERT(rec != nullptr);  // actors are only freed in post_method
   if (!rec->dying && rec->migrate_target == kInvalidNode) {
@@ -599,7 +590,6 @@ void Kernel::fill_join(const ContRef& ref, std::uint64_t word, Bytes blob) {
   machine_.token_release(self_);
   probes_.record_span(obs::Probe::kJoinRoundTrip, done.created_at,
                       machine_.now(self_));
-  trace_mark(trace::EventKind::kJoinFired, done.slot_count);
   Context ctx(*this, SlotId{}, done.creator, nullptr);
   ++bodies_;  // user code, like a method body (execute_message)
   reading_ = 0;
@@ -629,7 +619,6 @@ void Kernel::group_broadcast(
     const std::array<std::uint64_t, kMsgInlineWords>& args,
     const ContRef& cont, Bytes payload) {
   stats_.bump(Stat::kBroadcastsSent);
-  trace_mark(trace::EventKind::kBroadcast, gid.seq);
   Message m;
   m.selector = sel;
   m.argc = argc;
@@ -702,7 +691,6 @@ void Kernel::perform_migration(SlotId actor_slot, NodeId target) {
   HAL_ASSERT(rec.impl->migratable());
   stats_.bump(Stat::kMigrationsOut);
   const std::uint32_t new_epoch = rec.epoch + 1;
-  trace_mark(trace::EventKind::kMigrateOut, target, new_epoch);
 
   // The image and state writers can outgrow their reservation (pack_state
   // and buffered mail are unbounded); a growth reallocation frees the

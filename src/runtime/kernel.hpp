@@ -32,7 +32,6 @@
 #include "runtime/handlers.hpp"
 #include "runtime/join_continuation.hpp"
 #include "runtime/registry.hpp"
-#include "trace/trace.hpp"
 
 namespace hal {
 
@@ -189,22 +188,6 @@ class Kernel final : public am::NodeClient {
   /// through node 0, like the paper's partition-manager front-end).
   void console_print(std::string_view text);
   void set_front_end(FrontEnd* fe) noexcept { front_end_ = fe; }
-
-  // --- Tracing ---------------------------------------------------------------------
-  void set_tracer(trace::TraceRecorder* t) noexcept { tracer_ = t; }
-  bool tracing() const noexcept { return tracer_ != nullptr; }
-  void trace_event(trace::EventKind kind, SimTime start, SimTime duration,
-                   std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (tracer_ == nullptr) return;
-    tracer_->record(trace::Event{start, duration, self_, kind, a, b});
-  }
-  /// Instantaneous marker at the current virtual time.
-  void trace_mark(trace::EventKind kind, std::uint64_t a = 0,
-                  std::uint64_t b = 0) {
-    if (tracer_ == nullptr) return;
-    tracer_->record(
-        trace::Event{machine_.now(self_), 0, self_, kind, a, b});
-  }
 
   // --- Migration / termination ----------------------------------------------
   /// Flag the running actor for migration after its current method returns.
@@ -400,7 +383,6 @@ class Kernel final : public am::NodeClient {
       dead_letter_causes_{};
   std::uint64_t place_cursor_ = 0;
   FrontEnd* front_end_ = nullptr;  // node 0 only
-  trace::TraceRecorder* tracer_ = nullptr;
 };
 
 }  // namespace hal

@@ -29,7 +29,6 @@ void NodeManager::ship(Message m, SlotId desc_slot) {
     k_.bulk().send(dst, kTagLargeMessage, {0, 0}, std::move(w).take());
     return;
   }
-  k_.trace_mark(trace::EventKind::kSendRemote, dst);
   am::Packet p;
   p.src = k_.self();
   p.dst = dst;
@@ -141,7 +140,6 @@ void NodeManager::local_or_forward(Message m, NodeId src, bool had_hint) {
 }
 
 void NodeManager::park(const MailAddress& addr, Message m, NodeId origin) {
-  k_.trace_mark(trace::EventKind::kParked);
   k_.stats().bump(Stat::kMessagesParked);
   k_.machine().token_acquire(k_.self());
   parked_[addr].push_back(ParkedMessage{std::move(m), origin});
@@ -151,7 +149,6 @@ void NodeManager::park(const MailAddress& addr, Message m, NodeId origin) {
 
 void NodeManager::send_fir(const MailAddress& addr, NodeId toward,
                            std::uint64_t hops, std::uint64_t epoch) {
-  k_.trace_mark(trace::EventKind::kFirSent, toward);
   k_.stats().bump(Stat::kFirSent);
   // Anchor the round-trip probe (keep the first anchor if a chase for this
   // address is somehow re-fired before its response lands).
@@ -236,7 +233,6 @@ void NodeManager::on_fir_response(const am::Packet& p) {
     fir_sent_at_.erase(it);
   }
   k_.stats().bump(Stat::kFirResolved);
-  k_.trace_mark(trace::EventKind::kFirResolved, node);
   location_learned(addr, node, rdesc, epoch, /*clear_fir=*/true,
                    /*propagate=*/true);
 }
@@ -569,7 +565,6 @@ void NodeManager::migration_arrived(NodeId src, SimTime departed_at,
     rec->pending.push_back(Message::decode_full(r, &k_.pool()));
   }
   k_.stats().bump(Stat::kMigrationsIn);
-  k_.trace_mark(trace::EventKind::kMigrateIn, src, epoch);
   if (poll_outstanding_) {
     // Steal success: the poll this node had outstanding was answered with a
     // migrated actor. (An unsolicited migration racing the poll inflates
@@ -709,7 +704,6 @@ void NodeManager::on_steal_request(const am::Packet& p) {
   });
   if (victim.has_value()) {
     k_.stats().bump(Stat::kStealRequestsServed);
-    k_.trace_mark(trace::EventKind::kStealServed, thief);
     ActorRecord* rec = k_.actor(*victim);
     rec->scheduled = false;
     k_.balancer_hint_add(-1);  // leaves this queue; re-counted on arrival

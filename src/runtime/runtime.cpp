@@ -24,9 +24,6 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
   }
   // Node 0's kernel relays I/O requests to the front-end (Fig. 1).
   kernels_[0]->set_front_end(&front_end_);
-  if (config_.trace) {
-    for (auto& k : kernels_) k->set_tracer(&tracer_);
-  }
   // After the kernels attach, so each link endpoint can borrow its node's
   // payload pool. A zero injector seed inherits the runtime seed: one knob
   // reproduces both the schedule and the fault pattern.
@@ -114,7 +111,8 @@ obs::RunReport Runtime::report() {
       node_stats.bump(Stat::kWireFlushBarrier, ws->flush_barrier);
     }
     r.per_node.push_back(node_stats);
-    r.per_node_probes.push_back(k.probes());
+    // Histograms only: the trace's spans stay with the kernel.
+    r.per_node_probes.emplace_back() += k.probes();
     r.total += node_stats;
     r.probes += k.probes();
   }
@@ -210,12 +208,22 @@ std::size_t Runtime::collect_garbage(std::span<const MailAddress> roots) {
   return reclaimed;
 }
 
-std::size_t Runtime::write_trace(const std::string& path) {
-  const std::vector<trace::Event> events = tracer_.take();
+std::vector<obs::Span> Runtime::trace_events() const {
+  std::vector<obs::Span> spans;
+  for (const auto& k : kernels_) {
+    const std::vector<obs::Span>& node = k->probes().spans();
+    spans.insert(spans.end(), node.begin(), node.end());
+  }
+  return spans;
+}
+
+std::optional<std::size_t> Runtime::write_trace(const std::string& path) const {
+  const std::vector<obs::Span> spans = trace_events();
   std::ofstream out(path);
-  HAL_ASSERT(out.good());
-  trace::write_chrome_trace(out, events);
-  return events.size();
+  obs::write_chrome_trace(out, spans);
+  out.close();
+  if (out.fail()) return std::nullopt;  // not opened, or a write failed
+  return spans.size();
 }
 
 }  // namespace hal

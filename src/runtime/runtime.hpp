@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -136,11 +137,13 @@ class Runtime {
   /// alias, kept as dead-letter sinks otherwise.
   std::size_t collect_garbage(std::span<const MailAddress> roots);
 
-  /// Recorded protocol events (empty unless config.trace). Consumes them.
-  std::vector<trace::Event> trace_events() { return tracer_.take(); }
-  /// Write the recorded events as a Chrome trace (chrome://tracing /
-  /// Perfetto). Returns the number of events written.
-  std::size_t write_trace(const std::string& path);
+  /// The probe spans recorded so far (empty unless config.trace): node 0's
+  /// in the order it recorded them, then node 1's, and so on.
+  std::vector<obs::Span> trace_events() const;
+  /// Write trace_events() as a Chrome trace (chrome://tracing / Perfetto,
+  /// obs::write_chrome_trace). Returns the number of events written, or
+  /// nothing when the file cannot be opened or written.
+  std::optional<std::size_t> write_trace(const std::string& path) const;
 
   NodeId nodes() const noexcept { return config_.nodes; }
   const RuntimeConfig& config() const noexcept { return config_; }
@@ -181,7 +184,6 @@ class Runtime {
   std::unique_ptr<am::Machine> machine_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
   FrontEnd front_end_;
-  trace::TraceRecorder tracer_;
   bool ran_ = false;
   SimTime wall_ns_ = 0;
 };
