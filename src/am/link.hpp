@@ -51,11 +51,12 @@ struct LinkStats {
   std::uint64_t acks_sent = 0;
 };
 
-/// How an endpoint reaches the wire and the client. Machines implement this
-/// privately: `link_transmit` puts one physical copy on the wire (Sim: a
-/// delivery event at now + wire latency + extra_delay; Mn: a mailbox push
-/// with the sent-epoch bump), `link_deliver` hands an in-order packet to
-/// `NodeClient::handle` on the destination node.
+/// How an endpoint reaches the wire and the client. `Machine` is the sink:
+/// each executor implements `link_transmit`, which puts one physical copy
+/// on the wire (Sim: a delivery event at now + wire latency + extra_delay;
+/// Mn: a mailbox push with the sent-epoch bump), and the base's
+/// `link_deliver` hands an in-order packet to the destination node's client
+/// (`Machine::deliver_to_client`, which decodes frames into records).
 class LinkSink {
  public:
   virtual void link_transmit(Packet p, SimTime extra_delay_ns) = 0;

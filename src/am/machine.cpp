@@ -147,6 +147,22 @@ SimTime Machine::frame_deadline(NodeId src) const noexcept {
   return wire_.empty() ? 0 : wire_[src]->earliest_deadline();
 }
 
+void Machine::dispatch_arrival(NodeId node, Packet p) {
+  if (links_active() && (p.link_seq != 0 || p.link_ack)) {
+    // Physical arrival on the faulty wire: the endpoint dedupes, reorders
+    // into sequence, acks, and calls link_deliver for each packet that
+    // becomes deliverable.
+    link(node).receive(std::move(p), *this);
+  } else {
+    deliver_to_client(node, std::move(p));
+  }
+}
+
+void Machine::link_deliver(Packet p) {
+  const NodeId dst = p.dst;
+  deliver_to_client(dst, std::move(p));
+}
+
 void Machine::deliver_to_client(NodeId node, Packet p) {
   if (!p.frame) {
     client(node).handle(std::move(p));

@@ -9,8 +9,11 @@
 //                  mailboxes, work-stealing run queues and wall-clock time;
 //                  demonstrates the runtime is genuinely concurrent and
 //                  reaches node counts (1024+) far past hardware parallelism.
-// All kernel/protocol code above this interface is identical under both;
-// construction is centralized in make_machine (machine_factory.hpp).
+// All kernel/protocol code above this interface is identical under both.
+// This layer also owns what both need on every node: the arrival demux
+// (reliable link or straight to the client), the link endpoints, the wire
+// aggregators and the work tokens. Runtime builds the machine its
+// RuntimeConfig names.
 #pragma once
 
 #include <atomic>
@@ -91,7 +94,7 @@ class NodeClient {
   virtual SimTime service_deadline() const { return 0; }
 };
 
-class Machine {
+class Machine : protected LinkSink {
  public:
   Machine(NodeId nodes, CostModel costs)
       : clients_(nodes, nullptr), costs_(costs), tokens_(nodes) {
@@ -265,11 +268,6 @@ class Machine {
   void for_each_wire_payload(const std::function<void(const Bytes&)>& fn) const;
 
  protected:
-  // The shared node-stepping core (node_executor.hpp) demuxes arrivals and
-  // fires link timers on behalf of its machine; it needs the same access to
-  // clients and link endpoints the machine itself has.
-  friend class NodeExecutor;
-
   NodeClient& client(NodeId node) const {
     HAL_ASSERT(node < node_count() && clients_[node] != nullptr);
     return *clients_[node];
@@ -328,13 +326,24 @@ class Machine {
   /// overrides to charge only the amortized injection cost.
   virtual void wire_inject(Packet frame) { send(std::move(frame)); }
 
-  /// Arrival demux used by NodeExecutor: plain packets go straight to the
-  /// client, frames decode into one handler call per record (one wake, one
-  /// mailbox drain, many messages) with record payloads drawn from — and
-  /// the frame buffer retired into — the receiving node's pool.
+  /// Run one physical arrival on `node`'s execution stream: packets
+  /// carrying link state (sequence number or ack) go through the node's
+  /// LinkEndpoint (dedupe, reorder, ack — only in-order data reaches the
+  /// client, through link_deliver); everything else goes straight to
+  /// deliver_to_client.
+  void dispatch_arrival(NodeId node, Packet p);
+
+  /// Hand a packet to `node`'s client: plain packets go straight to
+  /// handle(), frames decode into one handler call per record (one wake,
+  /// one mailbox drain, many messages) with record payloads drawn from —
+  /// and the frame buffer retired into — the receiving node's pool.
   void deliver_to_client(NodeId node, Packet p);
 
  private:
+  /// LinkSink: an in-order packet leaves the link on its destination's
+  /// stream and reaches the client.
+  void link_deliver(Packet p) override;
+
   /// Close fb (held by src toward dst), account the flush, record the
   /// frame-fill probe, and ship the frame.
   void emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,

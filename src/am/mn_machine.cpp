@@ -47,9 +47,11 @@ MnMachine::MnMachine(NodeId nodes, CostModel costs, std::uint32_t workers)
       workers_n_(clamp_workers(workers, nodes)),
       max_searchers_(std::max<std::uint32_t>(1, workers_n_ / 2)),
       slots_(nodes),
-      exec_(*this, /*participants=*/workers_n_, /*mailboxes=*/true),
+      detector_(workers_n_),
       epoch_(std::chrono::steady_clock::now()) {
+  mailboxes_.reserve(nodes);
   for (NodeId n = 0; n < nodes; ++n) {
+    mailboxes_.push_back(std::make_unique<MpscQueue<Packet>>());
     slots_[n].id = n;
     slots_[n].home = n % workers_n_;
   }
@@ -71,8 +73,8 @@ void MnMachine::configure_faults(const FaultConfig& cfg) {
   FaultConfig scrubbed = cfg;
   scrubbed.delay = 0.0;
   Machine::configure_faults(scrubbed);
-  std::lock_guard lock(timers_mutex_);
-  timer_deadlines_.clear();
+  std::lock_guard lock(link_deadlines_.mutex);
+  link_deadlines_.at.clear();
 }
 
 void MnMachine::send(Packet p) {
@@ -96,8 +98,8 @@ void MnMachine::send(Packet p) {
     // into link_transmit for every physical copy that survives the
     // injector. Runs on the source node's execution stream (its current
     // worker), so the endpoint needs no locking. The node's retransmission
-    // deadline is published at the end of its quantum (update_link_timer);
-    // bootstrap masters are covered by the priming sweep in run().
+    // deadline is published at the end of its quantum (run_node); bootstrap
+    // masters are covered by the priming sweep in run().
     const NodeId src = p.src;
     link(src).send_data(std::move(p), now(src), *this);
     return;
@@ -111,17 +113,14 @@ void MnMachine::link_transmit(Packet p,
   post_and_schedule(std::move(p));
 }
 
-void MnMachine::link_deliver(Packet p) {
-  // Frames decode into a burst of records here; plain packets pass through.
-  const NodeId dst = p.dst;
-  deliver_to_client(dst, std::move(p));
-}
-
 void MnMachine::post_and_schedule(Packet p) {
-  // Mailbox push first (with its note_sent), then the run token: a consumer
-  // that acquires the token is guaranteed to see the packet.
+  // Mailbox push first, then the run token: a consumer that acquires the
+  // token is guaranteed to see the packet. The send is counted before the
+  // packet becomes visible, so a checker that reads sent == handled knows
+  // no packet is hiding in a mailbox. Any wakeup stays with schedule().
   const NodeId dst = p.dst;
-  exec_.post(std::move(p), participant());
+  detector_.note_sent(participant());
+  mailboxes_[dst]->push(std::move(p));
   schedule(dst);
 }
 
@@ -147,7 +146,7 @@ void MnMachine::enqueue(NodeSlot& s) {
   // before the token becomes visible, note_handled when its quantum ends
   // (run_node). sent == handled therefore proves no token hides in any run
   // queue — the detector's double scan stays exact at P >> N.
-  exec_.detector().note_sent(participant());
+  detector_.note_sent(participant());
   const int self = tl_worker_;
   if (self >= 0) {
     // On-pool: keep the node where its traffic originates (locality);
@@ -293,8 +292,20 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
     check::ScopedExecutionNode scope(n);
     NodeClient& c = client(n);
     c.on_quantum_begin();
-    const std::size_t drained = exec_.drain(n, *this, w, kDrainQuantum);
-    const std::size_t stepped = exec_.step_quantum(n, kStepQuantum);
+    MpscQueue<Packet>& mailbox = *mailboxes_[n];
+    std::size_t drained = 0;
+    while (drained < kDrainQuantum) {
+      auto p = mailbox.pop();
+      if (!p.has_value()) break;
+      dispatch_arrival(n, std::move(*p));
+      // The handled epoch counts the *physical* packet whether or not the
+      // link layer suppressed it as a duplicate, symmetric with the
+      // note_sent in post_and_schedule.
+      detector_.note_handled(w);
+      ++drained;
+    }
+    std::size_t stepped = 0;
+    while (stepped < kStepQuantum && c.step()) ++stepped;
     if (drained + stepped > 0) s.idle_notified = false;
     // Holdoff expiry rides the node's own quantum (the frame owner's
     // stream), like the link retransmission timer below; a frame never
@@ -310,7 +321,7 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
       const SimTime sd = c.service_deadline();
       if (sd != 0 && sd <= now(n)) s.idle_notified = false;
     }
-    more = !exec_.mailbox_empty(n) || c.has_work();
+    more = !mailbox.empty() || c.has_work();
     if (!more) {
       // Busy→idle: ship held frames before the node's run token is retired,
       // so a receiver never waits out a holdoff that outlived the sender's
@@ -326,7 +337,7 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
         // on_idle's own sends (a steal poll, say) must not sit in a frame
         // on an idle node either.
         if (batching_active()) flush_frames(n, FlushCause::kIdle);
-        more = !exec_.mailbox_empty(n) || c.has_work();
+        more = !mailbox.empty() || c.has_work();
       }
     }
     if (links_active()) {
@@ -334,15 +345,15 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
       // endpoint state stays single-threaded), then publish the next
       // deadline so idle workers know how long the machine still owes wire
       // work.
-      const SimTime due = exec_.link_deadline(n);
-      if (due != 0 && due <= now(n)) {
-        exec_.fire_link_timer(n, now(n), *this);
-      }
-      update_link_timer(n);
+      LinkEndpoint& ep = link(n);
+      SimTime due = ep.next_deadline();
+      if (due != 0 && due <= now(n)) due = ep.on_timer(now(n), *this);
+      publish_deadline(link_deadlines_, s.link_published, n, due);
     }
     // Publish/retire the node's service deadline so idle workers know when
     // an otherwise-idle client wants its on_idle re-run (backed-off repoll).
-    update_service_timer(s, c);
+    publish_deadline(service_deadlines_, s.service_published, n,
+                     c.service_deadline());
   }
   if (more) {
     s.token.requeue();
@@ -352,7 +363,7 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
     // CAS lost to kRunningNotified — see RunTokenCell): re-publish.
     enqueue(s);
   }
-  exec_.detector().note_handled(w);  // the run token this quantum consumed
+  detector_.note_handled(w);  // the run token this quantum consumed
 }
 
 void MnMachine::sweep_home_nodes(WorkerRec& rec) {
@@ -370,75 +381,38 @@ void MnMachine::sweep_home_nodes(WorkerRec& rec) {
   }
 }
 
-void MnMachine::update_link_timer(NodeId node) {
-  const SimTime deadline = exec_.link_deadline(node);
-  std::lock_guard lock(timers_mutex_);
+void MnMachine::publish_deadline(DeadlineTable& table, bool& published,
+                                 NodeId node, SimTime deadline) {
+  // The published flag is owned by the token holder, so quanta of nodes
+  // with nothing pending (the common case) skip the mutex entirely.
+  if (deadline == 0 && !published) return;
+  std::lock_guard lock(table.mutex);
   if (deadline == 0) {
-    timer_deadlines_.erase(node);
+    table.at.erase(node);
   } else {
-    timer_deadlines_[node] = deadline;
+    table.at[node] = deadline;
   }
+  published = deadline != 0;
 }
 
-SimTime MnMachine::earliest_link_deadline() {
-  if (!links_active()) return 0;
-  std::lock_guard lock(timers_mutex_);
+SimTime MnMachine::earliest_deadline(DeadlineTable& table) {
+  std::lock_guard lock(table.mutex);
   SimTime best = 0;
-  for (const auto& [node, deadline] : timer_deadlines_) {
+  for (const auto& [node, deadline] : table.at) {
     if (best == 0 || deadline < best) best = deadline;
   }
   return best;
 }
 
-void MnMachine::update_service_timer(NodeSlot& s, NodeClient& c) {
-  // The published flag is owned by the token holder, so quanta for clients
-  // that never request servicing (the common case) skip the mutex entirely.
-  const SimTime deadline = c.service_deadline();
-  if (deadline == 0 && !s.service_published) return;
-  std::lock_guard lock(timers_mutex_);
-  if (deadline == 0) {
-    service_deadlines_.erase(s.id);
-    s.service_published = false;
-  } else {
-    service_deadlines_[s.id] = deadline;
-    s.service_published = true;
-  }
-}
-
-SimTime MnMachine::earliest_service_deadline() {
-  std::lock_guard lock(timers_mutex_);
-  SimTime best = 0;
-  for (const auto& [node, deadline] : service_deadlines_) {
-    if (best == 0 || deadline < best) best = deadline;
-  }
-  return best;
-}
-
-void MnMachine::schedule_due_service() {
+void MnMachine::schedule_due(DeadlineTable& table) {
   const SimTime t = now(0);
   std::vector<NodeId> due;
   {
-    std::lock_guard lock(timers_mutex_);
-    for (const auto& [node, deadline] : service_deadlines_) {
+    std::lock_guard lock(table.mutex);
+    for (const auto& [node, deadline] : table.at) {
       if (deadline <= t) due.push_back(node);
     }
   }
-  // The nodes' own quanta re-run on_idle (run_node clears idle_notified when
-  // the deadline has passed) and refresh the table entries; schedule() is
-  // idempotent while a token is pending.
-  for (const NodeId n : due) schedule(n);
-}
-
-void MnMachine::schedule_due_links() {
-  const SimTime t = now(0);
-  std::vector<NodeId> due;
-  {
-    std::lock_guard lock(timers_mutex_);
-    for (const auto& [node, deadline] : timer_deadlines_) {
-      if (deadline <= t) due.push_back(node);
-    }
-  }
-  // The nodes' own quanta fire the timers (and refresh the table entries);
   // schedule() is idempotent while a token is pending.
   for (const NodeId n : due) schedule(n);
 }
@@ -446,7 +420,6 @@ void MnMachine::schedule_due_links() {
 void MnMachine::worker_loop(std::uint32_t w) {
   WorkerRec& rec = *workers_[w];
   tl_worker_ = static_cast<int>(w);
-  TerminationDetector& detector = exec_.detector();
   while (!stop_requested()) {
     const std::uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
     if (epoch != rec.sweep_epoch) {
@@ -472,10 +445,11 @@ void MnMachine::worker_loop(std::uint32_t w) {
       continue;  // a wake epoch landed after our sweep: re-sweep, don't park
     }
 
-    SimTime deadline = earliest_link_deadline();
+    SimTime deadline =
+        links_active() ? earliest_deadline(link_deadlines_) : 0;
     // A pending service deadline (backed-off repoll) bounds the park too, so
     // an idle node's deferred on_idle fires on time even under faults.
-    const SimTime svc = earliest_service_deadline();
+    const SimTime svc = earliest_deadline(service_deadlines_);
     if (deadline != 0) {
       if (svc != 0 && svc < deadline) deadline = svc;
       // Unacked retransmit masters somewhere: the machine still owes wire
@@ -489,8 +463,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
       park(rec, gen, deadline);
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
       if (!stop_requested()) {
-        schedule_due_links();
-        schedule_due_service();
+        schedule_due(link_deadlines_);
+        schedule_due(service_deadlines_);
       }
       continue;
     }
@@ -499,8 +473,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
     // is done (the proof in termination.hpp: the last worker to deactivate
     // is guaranteed a passing double scan). kBusy is always safe: a token
     // or packet push wakes us through the inject/thief handshakes.
-    detector.deactivate(w);
-    switch (detector.check([this] { return tokens(); })) {
+    detector_.deactivate(w);
+    switch (detector_.check([this] { return tokens(); })) {
       case TerminationDetector::Verdict::kQuiescent:
         stop();  // wake_hook rouses every parked worker; they see stop
         return;
@@ -516,8 +490,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
     // repoll fires even with no other traffic), untimed otherwise.
     park(rec, gen, svc);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    detector.activate(w);
-    if (!stop_requested()) schedule_due_service();
+    detector_.activate(w);
+    if (!stop_requested()) schedule_due(service_deadlines_);
   }
 }
 

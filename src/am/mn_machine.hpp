@@ -7,8 +7,9 @@
 // the default pool up to the P = 1024–16384 regime the hypercube broadcast
 // tree and FIR load balancer were designed for:
 //
-//   * Packets cross workers through the per-node MPSC mailboxes owned by the
-//     shared NodeExecutor.
+//   * Packets cross workers through per-node MPSC mailboxes (one heap queue
+//     per node), drained by the node's own quantum through Machine's
+//     arrival demux.
 //   * A *runnable node* is a unit of scheduling. Each node carries an atomic
 //     state machine {Idle, Queued, Running, RunningNotified}; a sender whose
 //     CAS wins Idle→Queued publishes exactly one run token for the node, so
@@ -30,10 +31,11 @@
 //     no runnable node hides in any queue; in-progress quanta are covered
 //     by the running worker being active.
 //   * Under fault injection, nodes holding unacked retransmit masters
-//     publish their next deadline into a shared timer table; a worker that
-//     would otherwise deactivate instead stays *active* and parks with that
-//     deadline: pending wire work must keep the machine non-quiescent (loss
-//     cannot fake termination).
+//     publish their next deadline into a shared deadline table; a worker
+//     that would otherwise deactivate instead stays *active* and parks with
+//     that deadline: pending wire work must keep the machine non-quiescent
+//     (loss cannot fake termination). Idle clients that want a later
+//     on_idle re-run publish into a second table of the same type.
 //   * A worker that runs out of tokens first *searches* (re-polls its
 //     queues and steals for up to kSearchNs, still active) before it takes
 //     the idle transition and parks. While anyone searches, a sender wakes
@@ -42,8 +44,8 @@
 //     spin-then-park shape).
 //
 // Selection: RuntimeConfig{.machine = MachineKind::kMn, .mn_workers = N}
-// through make_machine, or HAL_MACHINE=mn / HAL_MN_WORKERS=N in the bench
-// harness. See docs/machines.md.
+// in the config a Runtime is built from, or HAL_MACHINE=mn /
+// HAL_MN_WORKERS=N in the bench harness. See docs/machines.md.
 #pragma once
 
 #include <atomic>
@@ -57,18 +59,18 @@
 #include <vector>
 
 #include "am/machine.hpp"
-#include "am/node_executor.hpp"
 #include "am/park_handshake.hpp"
 #include "am/run_token.hpp"
 #include "common/fast_clock.hpp"
 #include "common/lint_markers.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
+#include "common/termination.hpp"
 #include "common/ws_deque.hpp"
 
 namespace hal::am {
 
-class MnMachine final : public Machine, private LinkSink {
+class MnMachine final : public Machine {
   // Memory-order contract checked by hal-lint HL007. The run-token state
   // machine itself lives in RunTokenCell (am/run_token.hpp, protocol
   // `run_tokens`) and the park flag in ParkHandshake (am/park_handshake.hpp,
@@ -94,10 +96,8 @@ class MnMachine final : public Machine, private LinkSink {
 
   /// Epoch counters summed over the workers' shards (stress tests, stats).
   /// These count packets *and* run tokens — see the termination note above.
-  std::uint64_t units_sent() const noexcept { return exec_.detector().sent(); }
-  std::uint64_t units_handled() const noexcept {
-    return exec_.detector().handled();
-  }
+  std::uint64_t units_sent() const noexcept { return detector_.sent(); }
+  std::uint64_t units_handled() const noexcept { return detector_.handled(); }
   /// Run tokens taken from another worker's deque, summed over the
   /// workers (scheduling diagnostics).
   std::uint64_t steals() const noexcept;
@@ -121,7 +121,18 @@ class MnMachine final : public Machine, private LinkSink {
     std::uint32_t home = 0;       // home worker for off-pool injection
     bool idle_notified = false;   // on_idle already ran for this idle spell
     std::uint64_t idle_epoch = 0; // wake epoch that on_idle last observed
+    bool link_published = false;     // entry live in link_deadlines_
     bool service_published = false;  // entry live in service_deadlines_
+  };
+
+  /// Times at which a node needs a quantum although nothing was sent to
+  /// it, one entry per node. A node publishes its own entry from its
+  /// quantum; an idle worker parks until the earliest entry, then schedules
+  /// the nodes whose entries are due. Touched only off the message fast
+  /// path (end of quantum, worker idle transitions).
+  struct DeadlineTable {
+    std::mutex mutex;
+    std::map<NodeId, SimTime> at;  // guarded by mutex
   };
 
   struct WorkerRec {
@@ -187,22 +198,20 @@ class MnMachine final : public Machine, private LinkSink {
   /// Schedule every home node of `rec` that should re-observe global state:
   /// all of them on the priming pass, idle ones on later wake epochs.
   void sweep_home_nodes(WorkerRec& rec);
-  /// Publish/erase `node`'s entry in the shared link-timer table.
-  void update_link_timer(NodeId node);
-  SimTime earliest_link_deadline();
-  /// Schedule every node whose retransmission deadline has passed.
-  void schedule_due_links();
-  /// Publish/erase the slot's entry in the shared service-deadline table
-  /// (NodeClient::service_deadline — e.g. the balancer's backed-off repoll).
-  void update_service_timer(NodeSlot& s, NodeClient& c);
-  SimTime earliest_service_deadline();
-  /// Schedule every node whose service deadline has passed (its quantum
-  /// re-runs on_idle).
-  void schedule_due_service();
+  /// Set (`deadline` != 0) or erase `node`'s entry in `table`, from the
+  /// node's quantum. `published` is the token holder's record that the
+  /// entry exists, so a node with nothing to publish skips the mutex.
+  static void publish_deadline(DeadlineTable& table, bool& published,
+                               NodeId node, SimTime deadline);
+  /// The earliest deadline in `table`; 0 when it is empty.
+  static SimTime earliest_deadline(DeadlineTable& table);
+  /// Schedule every node whose deadline in `table` has passed. The node's
+  /// own quantum does the due work (fires the link timer, re-runs on_idle)
+  /// and refreshes its entry.
+  void schedule_due(DeadlineTable& table);
 
   // LinkSink (fault plane).
   void link_transmit(Packet p, SimTime extra_delay_ns) override;
-  void link_deliver(Packet p) override;
 
   std::uint32_t workers_n_;
   // At most half the pool (at least one worker) searches at once, so an
@@ -210,7 +219,13 @@ class MnMachine final : public Machine, private LinkSink {
   std::uint32_t max_searchers_;
   std::vector<NodeSlot> slots_;
   std::vector<std::unique_ptr<WorkerRec>> workers_;
-  NodeExecutor exec_;  // mailboxes, epochs, demux (shared node-stepping core)
+  // One participant per worker; each counts its epochs on its own shard.
+  TerminationDetector detector_;
+  // Physical packets in flight are epoch-counted units (HAL_EPOCH_COUNTED →
+  // hal-lint HL009): post_and_schedule bumps the sent epoch before every
+  // push, run_node bumps handled after every pop, so the detector's double
+  // scan stays exact.
+  std::vector<std::unique_ptr<MpscQueue<Packet>>> mailboxes_ HAL_EPOCH_COUNTED;
   // now() reads clock_ (calibrated TSC; perfbench's ledger entry
   // am.clock_now_ns measured 20-27 ns per read on a 4-vCPU Xeon VM, GCC
   // 12.2 Release); epoch_ anchors the cv wait_until deadlines in
@@ -219,15 +234,12 @@ class MnMachine final : public Machine, private LinkSink {
   // clock_, so timers never fire early.
   FastClock clock_;
   std::chrono::steady_clock::time_point epoch_;
-  // Link retransmission deadlines of nodes with unacked masters. Guarded by
-  // timers_mutex_; touched only off the message fast path (end of quantum
-  // under faults, worker idle transitions).
-  std::mutex timers_mutex_;
-  std::map<NodeId, SimTime> timer_deadlines_;
+  // Link retransmission deadlines of nodes with unacked masters.
+  DeadlineTable link_deadlines_;
   // Service deadlines of idle nodes whose client wants a later on_idle
-  // re-run (NodeClient::service_deadline). Same guard and access pattern as
-  // the link-timer table above.
-  std::map<NodeId, SimTime> service_deadlines_;
+  // re-run (NodeClient::service_deadline, e.g. the balancer's backed-off
+  // repoll).
+  DeadlineTable service_deadlines_;
   // Shared scheduler counters, a cache line each: every searching worker
   // polls wake_epoch_, and idle transitions write sleepers_ and searchers_,
   // so none may share a line with another or with the fields above.

@@ -108,11 +108,6 @@ void SimMachine::link_transmit(Packet p, SimTime extra_delay_ns) {
   push_event(Event{arrival, 0, EventKind::kDelivery, dst, std::move(p)});
 }
 
-void SimMachine::link_deliver(Packet p) {
-  const NodeId dst = p.dst;
-  deliver_to_client(dst, std::move(p));
-}
-
 void SimMachine::schedule_link_timer(NodeId node) {
   if (!links_active() || link_timer_pending_[node]) return;
   const SimTime deadline = link(node).next_deadline();
@@ -191,12 +186,6 @@ SimTime SimMachine::makespan() const {
   return m;
 }
 
-void SimMachine::reset_clocks() {
-  HAL_ASSERT(!running_ && queue_.empty());
-  std::fill(clock_.begin(), clock_.end(), SimTime{0});
-  std::fill(handler_tail_.begin(), handler_tail_.end(), SimTime{0});
-}
-
 void SimMachine::settle(NodeId node) {
   NodeClient& c = client(node);
   if (c.has_work()) {
@@ -267,10 +256,10 @@ void SimMachine::run() {
         handler_time_ = start;
         charge(n, costs().handler_entry_ns);
         idle_notified_[n] = false;
-        // Shared demux (node_executor.hpp): faulty-wire packets dedupe/
-        // reorder/ack in the endpoint and reach the client via link_deliver,
-        // all within this handler slot; direct packets go straight through.
-        exec_.dispatch(n, std::move(e.packet), *this);
+        // Machine's demux: faulty-wire packets dedupe/reorder/ack in the
+        // endpoint and reach the client via link_deliver, all within this
+        // handler slot; direct packets go straight through.
+        dispatch_arrival(n, std::move(e.packet));
         const SimTime stolen = handler_time_ - start;
         handler_tail_[n] = handler_time_;
         in_handler_ = false;
@@ -293,7 +282,7 @@ void SimMachine::run() {
         link_timer_pending_[n] = false;
         clock_[n] = std::max(clock_[n], e.time);
         if (links_active()) {
-          exec_.fire_link_timer(n, current_time(n), *this);
+          link(n).on_timer(current_time(n), *this);
           schedule_link_timer(n);
         }
         break;

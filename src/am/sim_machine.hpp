@@ -25,11 +25,10 @@
 #include <vector>
 
 #include "am/machine.hpp"
-#include "am/node_executor.hpp"
 
 namespace hal::am {
 
-class SimMachine final : public Machine, private LinkSink {
+class SimMachine final : public Machine {
  public:
   SimMachine(NodeId nodes, CostModel costs);
 
@@ -50,9 +49,6 @@ class SimMachine final : public Machine, private LinkSink {
 
   /// Safety valve for protocol bugs: run() aborts after this many events.
   void set_event_limit(std::uint64_t limit) noexcept { event_limit_ = limit; }
-
-  /// Reset all virtual clocks to zero (between benchmark repetitions).
-  void reset_clocks();
 
  private:
   enum class EventKind : std::uint8_t {
@@ -89,9 +85,8 @@ class SimMachine final : public Machine, private LinkSink {
   /// handler runs, method stream otherwise).
   SimTime current_time(NodeId node) const;
 
-  // LinkSink: one physical wire copy / one in-order delivery (fault plane).
+  // LinkSink: one physical wire copy (fault plane).
   void link_transmit(Packet p, SimTime extra_delay_ns) override;
-  void link_deliver(Packet p) override;
   /// Arm `node`'s retransmission timer event at its endpoint's earliest
   /// deadline (coalesced: at most one pending timer event per node).
   void schedule_link_timer(NodeId node);
@@ -117,10 +112,6 @@ class SimMachine final : public Machine, private LinkSink {
   /// gets for free) would be lost.
   void autoflush(NodeId node);
 
-  // Shared node-stepping core, demux/timer entry points only: packets live
-  // in the event queue below (no mailboxes) and quiescence is queue
-  // exhaustion (no detector participants).
-  NodeExecutor exec_{*this, 0, /*mailboxes=*/false};
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<SimTime> clock_;         // method/compute stream
   std::vector<SimTime> handler_tail_;  // handler-stream serialization point

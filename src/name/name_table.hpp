@@ -116,9 +116,6 @@ class NameTable {
 
   // Quiescent-time introspection (report, tests): opted out of the
   // capability analysis rather than asserted.
-  std::size_t bound_names() const noexcept HAL_NO_THREAD_SAFETY_ANALYSIS {
-    return map_.size();
-  }
   std::size_t live_descriptors() const noexcept HAL_NO_THREAD_SAFETY_ANALYSIS {
     return pool_.size();
   }

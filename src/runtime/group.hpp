@@ -30,17 +30,6 @@ struct GroupInfo {
 
 class GroupTable {
  public:
-  /// Birth node of member `index` under round-robin striping.
-  static NodeId member_home(const GroupInfo& g, std::uint32_t index,
-                            NodeId nodes) {
-    return static_cast<NodeId>((g.root + index) % nodes);
-  }
-  static NodeId member_home(GroupId gid, NodeId root, std::uint32_t index,
-                            NodeId nodes) {
-    (void)gid;
-    return static_cast<NodeId>((root + index) % nodes);
-  }
-
   /// Names the owning node (called once from the owning kernel's ctor).
   void bind(NodeId owner) noexcept { affinity_.bind(owner, "GroupTable"); }
 

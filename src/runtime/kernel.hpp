@@ -266,15 +266,6 @@ class Kernel final : public am::NodeClient {
   /// mechanism" exposed to the compiler (§6.3).
   SlotId locality_check(const MailAddress& addr);
 
-  /// Behaviour object of a local actor, typed; nullptr when not local or of
-  /// a different type (the method-lookup escape hatch for compiled code).
-  template <typename B>
-  B* local_behavior(const MailAddress& addr) {
-    const SlotId s = locality_check(addr);
-    if (!s.valid()) return nullptr;
-    return dynamic_cast<B*>(actors_.get(s).impl.get());
-  }
-
   // --- Compiler-controlled stack scheduling (§6.3) ---------------------------
   /// RAII depth guard for stack-based direct dispatch.
   class StackGuard {

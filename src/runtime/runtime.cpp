@@ -5,14 +5,26 @@
 #include <unordered_set>
 #include <utility>
 
-#include "am/machine_factory.hpp"
-#include "am/sim_machine.hpp"  // report()'s makespan downcast (kSim only)
+#include "am/mn_machine.hpp"
+#include "am/sim_machine.hpp"
 
 namespace hal {
 
 Runtime::Runtime(RuntimeConfig config) : config_(config) {
   if (auto err = config_.validate()) throw *err;
-  machine_ = am::make_machine(config_);
+  switch (config_.machine) {
+    case MachineKind::kSim: {
+      auto sim = std::make_unique<am::SimMachine>(config_.nodes, config_.costs);
+      sim->set_event_limit(config_.sim_event_limit);  // 0 = unlimited
+      machine_ = std::move(sim);
+      break;
+    }
+    case MachineKind::kMn:
+      machine_ = std::make_unique<am::MnMachine>(config_.nodes, config_.costs,
+                                                 config_.mn_workers);
+      break;
+  }
+  HAL_ASSERT(machine_ != nullptr);
   kernels_.reserve(config_.nodes);
   for (NodeId n = 0; n < config_.nodes; ++n) {
     kernels_.push_back(

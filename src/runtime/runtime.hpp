@@ -71,15 +71,6 @@ class Runtime {
     kernels_[addr.home]->send_message(std::move(m));
   }
 
-  /// spawn + inject in one step.
-  template <auto InitMethod, typename... Args>
-  MailAddress spawn_init(NodeId node, Args&&... args) {
-    using B = class_of<InitMethod>;
-    const MailAddress a = spawn<B>(node);
-    inject<InitMethod>(a, std::forward<Args>(args)...);
-    return a;
-  }
-
   // --- Untyped bootstrap (language front-ends) --------------------------------
   /// Mutable registry access for front-ends that register behaviours by
   /// name + factory (dynamic loading). Before run() only.

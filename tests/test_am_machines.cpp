@@ -2,6 +2,7 @@
 // transfer protocol with minimal flow control).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <set>
@@ -139,6 +140,78 @@ TEST(MnMachine, RelayChainQuiesces) {
   std::size_t total = 0;
   for (auto& c : h.clients) total += c.received.size();
   EXPECT_EQ(total, 101u);
+}
+
+// --- Service deadlines ------------------------------------------------------------
+// NodeClient::service_deadline re-runs an idle client's on_idle although no
+// packet reaches it (the balancer's backed-off repoll). Node 1 asks, at its
+// first on_idle, to be serviced kServiceDelay later; node 0 stays busy until
+// that second on_idle has run, or until kServiceCap, well past the deadline,
+// so the run is still going when the deadline passes. MnMachine needs two workers here:
+// with one, the busy node keeps the only worker from parking, and nothing
+// checks the service deadlines until the run ends.
+
+constexpr SimTime kServiceDelay = 1'000'000;   // 1 ms
+constexpr SimTime kServiceCap = 1'000'000'000;  // 1 s
+constexpr SimTime kBusyStep = 10'000;           // charged per step (Sim)
+
+struct ServicedClient : NodeClient {
+  Machine* machine = nullptr;
+  SimTime deadline = 0;
+  std::vector<SimTime> idle_at;  // written by node 1's stream only
+  std::atomic<std::size_t> idle_runs{0};
+  std::size_t packets = 0;
+
+  void handle(Packet) override { ++packets; }
+  bool step() override { return false; }
+  bool has_work() const override { return false; }
+  void on_idle() override {
+    const SimTime t = machine->now(1);
+    idle_at.push_back(t);
+    deadline = idle_at.size() == 1 ? t + kServiceDelay : 0;
+    idle_runs.store(idle_at.size(), std::memory_order_release);
+  }
+  SimTime service_deadline() const override { return deadline; }
+};
+
+struct BusyClient : NodeClient {
+  Machine* machine = nullptr;
+  const ServicedClient* serviced = nullptr;
+
+  void handle(Packet) override {}
+  bool step() override {
+    if (!has_work()) return false;
+    machine->charge(0, kBusyStep);
+    return true;
+  }
+  bool has_work() const override {
+    return serviced->idle_runs.load(std::memory_order_acquire) < 2 &&
+           machine->now(0) < kServiceCap;
+  }
+};
+
+void run_service_deadline(Machine& m) {
+  BusyClient busy;
+  ServicedClient serviced;
+  busy.machine = &m;
+  busy.serviced = &serviced;
+  serviced.machine = &m;
+  m.attach(0, &busy);
+  m.attach(1, &serviced);
+  m.run();
+  ASSERT_EQ(serviced.idle_at.size(), 2u) << "on_idle did not re-run";
+  EXPECT_GE(serviced.idle_at[1], serviced.idle_at[0] + kServiceDelay);
+  EXPECT_EQ(serviced.packets, 0u);
+}
+
+TEST(SimMachine, ServiceDeadlineRerunsIdleClient) {
+  SimMachine m(2, CostModel::zero());
+  run_service_deadline(m);
+}
+
+TEST(MnMachine, ServiceDeadlineRerunsIdleClient) {
+  MnMachine m(2, CostModel::zero(), /*workers=*/2);
+  run_service_deadline(m);
 }
 
 // --- MST ---------------------------------------------------------------------------

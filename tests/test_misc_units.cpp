@@ -1,10 +1,9 @@
 // Unit tests: the smaller components — Dispatcher, BehaviorRegistry,
-// StatBlock formatting, cost-model presets, SimMachine housekeeping,
-// FrontEnd ordering, and the logging configuration.
+// StatBlock formatting, cost-model presets, SimMachine housekeeping and
+// FrontEnd ordering.
 #include <gtest/gtest.h>
 
 #include "am/sim_machine.hpp"
-#include "common/logging.hpp"
 #include "runtime/api.hpp"
 
 namespace hal {
@@ -248,28 +247,6 @@ TEST(CostModel, NowIsSlowerThanCm5OnTheWire) {
 
 // --- SimMachine housekeeping ----------------------------------------------------------
 
-struct NullClient : am::NodeClient {
-  void handle(am::Packet) override {}
-  bool step() override { return false; }
-  bool has_work() const override { return false; }
-};
-
-TEST(SimMachineHousekeeping, ResetClocksAfterRun) {
-  am::SimMachine m(2, am::CostModel::cm5());
-  NullClient c0, c1;
-  m.attach(0, &c0);
-  m.attach(1, &c1);
-  am::Packet p;
-  p.src = 0;
-  p.dst = 1;
-  p.handler = 1;
-  m.send(p);
-  m.run();
-  EXPECT_GT(m.makespan(), 0u);
-  m.reset_clocks();
-  EXPECT_EQ(m.makespan(), 0u);
-}
-
 TEST(SimMachineHousekeeping, EventLimitPanics) {
   struct Bouncer : am::NodeClient {
     am::Machine* m = nullptr;
@@ -314,18 +291,6 @@ TEST(FrontEndUnit, OrdersByTimeStably) {
   EXPECT_EQ(lines[1].text, "b");
   EXPECT_EQ(lines[2].text, "c");
   EXPECT_EQ(fe.size(), 0u);  // consumed
-}
-
-// --- Logging ----------------------------------------------------------------------------
-
-TEST(Logging, LevelGate) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kTrace);
-  EXPECT_TRUE(log_enabled(LogLevel::kInfo));
-  set_log_level(before);
 }
 
 }  // namespace

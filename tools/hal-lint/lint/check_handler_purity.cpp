@@ -44,7 +44,7 @@ bool path_contains(const FunctionDecl& fn, std::string_view needle) {
 }
 
 bool boundary_function(const FunctionDecl& fn) {
-  if (in_set(fn.class_name, {"SimMachine", "MnMachine", "NodeExecutor"})) {
+  if (in_set(fn.class_name, {"SimMachine", "MnMachine"})) {
     return true;
   }
   // baseline/ comparators are measured against HAL, not part of it;
