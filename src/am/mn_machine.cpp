@@ -48,12 +48,12 @@ MnMachine::MnMachine(NodeId nodes, CostModel costs, std::uint32_t workers)
       max_searchers_(std::max<std::uint32_t>(1, workers_n_ / 2)),
       slots_(nodes),
       detector_(workers_n_),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      due_(nodes, 0) {
   mailboxes_.reserve(nodes);
   for (NodeId n = 0; n < nodes; ++n) {
     mailboxes_.push_back(std::make_unique<MpscQueue<Packet>>());
     slots_[n].id = n;
-    slots_[n].home = n % workers_n_;
   }
   // Each node holds at most one run token machine-wide, so a deque sized to
   // the node count can never overflow even if every token lands on one
@@ -73,8 +73,6 @@ void MnMachine::configure_faults(const FaultConfig& cfg) {
   FaultConfig scrubbed = cfg;
   scrubbed.delay = 0.0;
   Machine::configure_faults(scrubbed);
-  std::lock_guard lock(link_deadlines_.mutex);
-  link_deadlines_.at.clear();
 }
 
 void MnMachine::send(Packet p) {
@@ -99,7 +97,7 @@ void MnMachine::send(Packet p) {
     // injector. Runs on the source node's execution stream (its current
     // worker), so the endpoint needs no locking. The node's retransmission
     // deadline is published at the end of its quantum (run_node); bootstrap
-    // masters are covered by the priming sweep in run().
+    // masters are seen by the quantum run()'s priming sweep gives the node.
     const NodeId src = p.src;
     link(src).send_data(std::move(p), now(src), *this);
     return;
@@ -134,6 +132,9 @@ SimTime MnMachine::now(NodeId node) const {
 }
 
 void MnMachine::schedule(NodeId node) {
+  // Off-pool callers are the bootstrap thread before run() (Machine::send's
+  // contract): their packets wait in the mailbox for the priming sweep.
+  if (tl_worker_ < 0) return;
   // The Idle/Queued/Running/RunningNotified transition logic lives in
   // RunTokenCell::publish (am/run_token.hpp); a true return means this
   // thread won the Idle→Queued race and owes the machine one enqueue.
@@ -146,30 +147,13 @@ void MnMachine::enqueue(NodeSlot& s) {
   // before the token becomes visible, note_handled when its quantum ends
   // (run_node). sent == handled therefore proves no token hides in any run
   // queue — the detector's double scan stays exact at P >> N.
-  detector_.note_sent(participant());
-  const int self = tl_worker_;
-  if (self >= 0) {
-    // On-pool: keep the node where its traffic originates (locality);
-    // thieves rebalance from the top of the deque.
-    workers_[static_cast<std::size_t>(self)]->local.push_bottom(&s);
-    maybe_wake_thief();
-  } else {
-    // Off-pool (bootstrap sends before run()): hand the token to the node's
-    // home worker through its MPSC inject queue.
-    WorkerRec& rec = *workers_[s.home];
-    rec.inject.push(s.id);
-    wake_worker(rec);
-  }
-}
-
-void MnMachine::wake_worker(WorkerRec& rec) noexcept {
-  // The seq_cst RMW handshake (proof in am/park_handshake.hpp): the push
-  // above this call is visible to the wait predicate, and a notify under
-  // the mutex cannot land between predicate check and park.
-  if (rec.sleeping.claim_wake()) {
-    std::lock_guard lock(rec.mutex);
-    rec.cv.notify_one();
-  }
+  HAL_DASSERT(tl_worker_ >= 0);
+  const auto self = static_cast<std::uint32_t>(tl_worker_);
+  detector_.note_sent(self);
+  // Keep the node where its traffic originates (locality); thieves
+  // rebalance from the top of the deque.
+  workers_[self]->local.push_bottom(&s);
+  maybe_wake_thief();
 }
 
 void MnMachine::maybe_wake_thief() noexcept {
@@ -180,9 +164,9 @@ void MnMachine::maybe_wake_thief() noexcept {
   if (searchers_.load(std::memory_order_relaxed) != 0) return;
   if (sleepers_.load(std::memory_order_relaxed) == 0) return;
   for (auto& rec : workers_) {
-    // claim_wake is wake_worker's exchange: exactly one sender takes the
-    // armed flag per park, and whoever takes it must notify (the sleeper's
-    // predicate sees the bumped generation under the mutex).
+    // claim_wake: exactly one sender takes the armed flag per park, and
+    // whoever takes it must notify (the sleeper's predicate sees the bumped
+    // generation under the mutex).
     if (rec->sleeping.armed_hint() && rec->sleeping.claim_wake()) {
       {
         std::lock_guard lock(rec->mutex);
@@ -225,11 +209,6 @@ void MnMachine::count_steal(WorkerRec& rec) noexcept {
 }
 
 MnMachine::NodeSlot* MnMachine::next_runnable(WorkerRec& rec) {
-  // Tokens injected off-pool surface into the owner's deque first so they
-  // become stealable like everything else.
-  while (auto n = rec.inject.pop()) {
-    rec.local.push_bottom(&slots_[*n]);
-  }
   if (NodeSlot* s = rec.local.pop_bottom()) return s;
   if (workers_n_ > 1) {
     // Random victims first (Kumar-style), then one deterministic sweep so
@@ -340,20 +319,27 @@ void MnMachine::run_node(NodeSlot& s, std::uint32_t w) {
         more = !mailbox.empty() || c.has_work();
       }
     }
+    // When this node next needs a quantum although nothing is sent to it:
+    // its client's service deadline (an idle client's on_idle re-run, e.g.
+    // the balancer's backed-off repoll) or its link's next retransmission,
+    // whichever is sooner.
+    SimTime due = c.service_deadline();
     if (links_active()) {
       // Fire this node's retransmission timer if due (on its own stream, so
-      // endpoint state stays single-threaded), then publish the next
-      // deadline so idle workers know how long the machine still owes wire
-      // work.
+      // endpoint state stays single-threaded).
       LinkEndpoint& ep = link(n);
-      SimTime due = ep.next_deadline();
-      if (due != 0 && due <= now(n)) due = ep.on_timer(now(n), *this);
-      publish_deadline(link_deadlines_, s.link_published, n, due);
+      SimTime retx = ep.next_deadline();
+      if (retx != 0 && retx <= now(n)) retx = ep.on_timer(now(n), *this);
+      // Unacked masters are one epoch-counted unit per node, sent before
+      // its deadline is published and handled once every master is acked:
+      // sent == handled then also proves no link owes a retransmission.
+      const bool unacked = retx != 0;
+      if (unacked && !s.link_unit) detector_.note_sent(w);
+      if (!unacked && s.link_unit) detector_.note_handled(w);
+      s.link_unit = unacked;
+      if (unacked && (due == 0 || retx < due)) due = retx;
     }
-    // Publish/retire the node's service deadline so idle workers know when
-    // an otherwise-idle client wants its on_idle re-run (backed-off repoll).
-    publish_deadline(service_deadlines_, s.service_published, n,
-                     c.service_deadline());
+    if (due != s.due) publish_due(s, due);
   }
   if (more) {
     s.token.requeue();
@@ -381,40 +367,35 @@ void MnMachine::sweep_home_nodes(WorkerRec& rec) {
   }
 }
 
-void MnMachine::publish_deadline(DeadlineTable& table, bool& published,
-                                 NodeId node, SimTime deadline) {
-  // The published flag is owned by the token holder, so quanta of nodes
-  // with nothing pending (the common case) skip the mutex entirely.
-  if (deadline == 0 && !published) return;
-  std::lock_guard lock(table.mutex);
-  if (deadline == 0) {
-    table.at.erase(node);
-  } else {
-    table.at[node] = deadline;
+void MnMachine::publish_due(NodeSlot& s, SimTime at) {
+  // The token holder's copy spares the mutex for quanta whose time did not
+  // change (the common case: nothing pending at all).
+  s.due = at;
+  std::lock_guard lock(due_mutex_);
+  due_[s.id] = at;
+  // A later time leaves next_due_ early; the next fire_due recomputes it.
+  const SimTime hint = next_due_.load(std::memory_order_relaxed);
+  if (at != 0 && (hint == 0 || at < hint)) {
+    next_due_.store(at, std::memory_order_relaxed);
   }
-  published = deadline != 0;
 }
 
-SimTime MnMachine::earliest_deadline(DeadlineTable& table) {
-  std::lock_guard lock(table.mutex);
-  SimTime best = 0;
-  for (const auto& [node, deadline] : table.at) {
-    if (best == 0 || deadline < best) best = deadline;
-  }
-  return best;
-}
-
-void MnMachine::schedule_due(DeadlineTable& table) {
+void MnMachine::fire_due() {
+  const SimTime hint = next_due_.load(std::memory_order_relaxed);
+  if (hint == 0 || hint > now(0)) return;
+  std::lock_guard lock(due_mutex_);
   const SimTime t = now(0);
-  std::vector<NodeId> due;
-  {
-    std::lock_guard lock(table.mutex);
-    for (const auto& [node, deadline] : table.at) {
-      if (deadline <= t) due.push_back(node);
-    }
+  SimTime next = 0;
+  for (NodeId n = 0; n < node_count(); ++n) {
+    const SimTime at = due_[n];
+    if (at == 0) continue;
+    // schedule() is idempotent while a token is pending. A scheduled node
+    // keeps its entry until its quantum publishes again, so next_due_
+    // stays no later than every entry.
+    if (at <= t) schedule(n);
+    if (next == 0 || at < next) next = at;
   }
-  // schedule() is idempotent while a token is pending.
-  for (const NodeId n : due) schedule(n);
+  next_due_.store(next, std::memory_order_relaxed);
 }
 
 void MnMachine::worker_loop(std::uint32_t w) {
@@ -434,45 +415,22 @@ void MnMachine::worker_loop(std::uint32_t w) {
     }
 
     // Idle transition. Snapshot the wake generation first: any wake that
-    // fires from here on is caught by the wait predicates below.
+    // fires from here on is caught by the park predicate.
     std::uint64_t gen;
     {
       std::lock_guard lock(rec.mutex);
       gen = rec.wake_gen;
     }
-    if (!rec.inject.empty()) continue;
     if (wake_epoch_.load(std::memory_order_acquire) != rec.sweep_epoch) {
       continue;  // a wake epoch landed after our sweep: re-sweep, don't park
-    }
-
-    SimTime deadline =
-        links_active() ? earliest_deadline(link_deadlines_) : 0;
-    // A pending service deadline (backed-off repoll) bounds the park too, so
-    // an idle node's deferred on_idle fires on time even under faults.
-    const SimTime svc = earliest_deadline(service_deadlines_);
-    if (deadline != 0) {
-      if (svc != 0 && svc < deadline) deadline = svc;
-      // Unacked retransmit masters somewhere: the machine still owes wire
-      // work, so this worker must NOT join the idle set — staying active
-      // keeps the detector's double scan returning kBusy, which is what
-      // makes loss unable to fake quiescence (the unacked-master rule,
-      // lifted from nodes to the worker pool). Park with the earliest
-      // deadline; on timeout, reschedule the due nodes so their quanta fire
-      // the retransmission timers on their own streams.
-      sleepers_.fetch_add(1, std::memory_order_relaxed);
-      park(rec, gen, deadline);
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      if (!stop_requested()) {
-        schedule_due(link_deadlines_);
-        schedule_due(service_deadlines_);
-      }
-      continue;
     }
 
     // Leave the active set, then ask the detector whether the whole machine
     // is done (the proof in termination.hpp: the last worker to deactivate
     // is guaranteed a passing double scan). kBusy is always safe: a token
-    // or packet push wakes us through the inject/thief handshakes.
+    // is run by the worker whose deque holds it (a thief wake only speeds
+    // that up), and a node that owes a retransmission keeps its link unit
+    // outstanding and its time in next_due_, which bounds the park below.
     detector_.deactivate(w);
     switch (detector_.check([this] { return tokens(); })) {
       case TerminationDetector::Verdict::kQuiescent:
@@ -486,32 +444,26 @@ void MnMachine::worker_loop(std::uint32_t w) {
         break;
     }
     sleepers_.fetch_add(1, std::memory_order_relaxed);
-    // Timed park when a service deadline is pending (backed-off balancer
-    // repoll fires even with no other traffic), untimed otherwise.
-    park(rec, gen, svc);
+    park(rec, gen, next_due_.load(std::memory_order_relaxed));
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
     detector_.activate(w);
-    if (!stop_requested()) schedule_due(service_deadlines_);
+    if (!stop_requested()) fire_due();
   }
 }
 
 void MnMachine::park(WorkerRec& rec, std::uint64_t gen, SimTime deadline) {
   std::unique_lock lock(rec.mutex);
   for (;;) {
-    // Re-arm before EVERY predicate evaluation: the inject queue is a
-    // Vyukov MPSC, so a completed push can be unreachable behind another
-    // producer's half-finished one and a single post-wakeup check could read
-    // "empty" with `sleeping` already cleared — the gap-closing producer
-    // would then skip its notify and this worker would sleep over a live
-    // run token. See am/park_handshake.hpp for the full happens-before
-    // argument.
+    // Re-arm before EVERY predicate evaluation (am/park_handshake.hpp): the
+    // armed flag is how maybe_wake_thief finds a parked worker, and a
+    // worker that waits again after a spurious wake-up must be findable.
     rec.sleeping.arm();
-    if (!rec.inject.empty() || stop_requested() || rec.wake_gen != gen) break;
+    if (stop_requested() || rec.wake_gen != gen) break;
     if (deadline != 0) {
       if (rec.cv.wait_until(lock,
                             epoch_ + std::chrono::nanoseconds(deadline)) ==
           std::cv_status::timeout) {
-        break;  // deadline work (link timer, service poll) is due
+        break;  // a deadline (link timer, service poll) is due
       }
     } else {
       rec.cv.wait(lock);
@@ -521,6 +473,8 @@ void MnMachine::park(WorkerRec& rec, std::uint64_t gen, SimTime deadline) {
 }
 
 void MnMachine::run() {
+  HAL_ASSERT(!ran_);
+  ran_ = true;
   std::vector<std::jthread> threads;
   threads.reserve(workers_n_);
   for (std::uint32_t w = 0; w < workers_n_; ++w) {

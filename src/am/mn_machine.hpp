@@ -18,26 +18,29 @@
 //     probes, buffer pool, link endpoint — relies on).
 //   * Run tokens live in per-worker Chase–Lev deques (common/ws_deque.hpp):
 //     the owning worker pushes and pops at the bottom, idle workers steal
-//     from the top. Tokens published off-pool (bootstrap sends before run())
-//     go through a per-worker MPSC inject queue to the node's home worker.
+//     from the top. Only workers publish tokens: a packet sent before run()
+//     (Machine::send's contract allows no other off-pool sender) waits in
+//     its mailbox for run()'s priming sweep, which schedules every node.
 //   * A token runs as a bounded quantum: drain the mailbox through the link
 //     demux, run NodeClient::step up to a budget, fire due link
 //     retransmission timers, then requeue if work remains — round-robin
 //     fairness among runnable nodes at P >> N.
 //   * Termination reuses the TerminationDetector double scan with the N
 //     workers as participants; each worker counts its epochs on its own
-//     shard. The sent/handled epochs count *both* physical packets and run
-//     tokens, so sent == handled proves no packet hides in any mailbox AND
-//     no runnable node hides in any queue; in-progress quanta are covered
-//     by the running worker being active.
-//   * Under fault injection, nodes holding unacked retransmit masters
-//     publish their next deadline into a shared deadline table; a worker
-//     that would otherwise deactivate instead stays *active* and parks with
-//     that deadline: pending wire work must keep the machine non-quiescent
-//     (loss cannot fake termination). Idle clients that want a later
-//     on_idle re-run publish into a second table of the same type.
+//     shard. The sent/handled epochs count physical packets, run tokens and
+//     links holding unacked masters (one unit per node), so sent == handled
+//     proves no packet hides in any mailbox, no runnable node hides in any
+//     queue, and no link owes a retransmission (loss cannot fake
+//     quiescence); in-progress quanta are covered by the running worker
+//     being active.
+//   * A node that needs a quantum although nothing was sent to it — a link
+//     retransmission, or a client's service deadline (the balancer's
+//     backed-off repoll) — publishes the sooner of the two times into one
+//     node-indexed deadline table at the end of its quantum. Only a worker
+//     that went idle fires them: it parks until the earliest time, then
+//     schedules the due nodes, whose own quanta do the due work.
 //   * A worker that runs out of tokens first *searches* (re-polls its
-//     queues and steals for up to kSearchNs, still active) before it takes
+//     deque and steals for up to kSearchNs, still active) before it takes
 //     the idle transition and parks. While anyone searches, a sender wakes
 //     nobody; otherwise it wakes one parked worker, claiming the sleeper's
 //     flag so each park costs at most one thief notify (the CAF/Go/Tokio
@@ -52,7 +55,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -95,7 +97,8 @@ class MnMachine final : public Machine {
   void configure_faults(const FaultConfig& cfg) override;
 
   /// Epoch counters summed over the workers' shards (stress tests, stats).
-  /// These count packets *and* run tokens — see the termination note above.
+  /// These count packets, run tokens and unacked links — see the
+  /// termination note above.
   std::uint64_t units_sent() const noexcept { return detector_.sent(); }
   std::uint64_t units_handled() const noexcept { return detector_.handled(); }
   /// Run tokens taken from another worker's deque, summed over the
@@ -118,21 +121,10 @@ class MnMachine final : public Machine {
   struct alignas(64) NodeSlot {
     RunTokenCell<> token;
     NodeId id = 0;
-    std::uint32_t home = 0;       // home worker for off-pool injection
     bool idle_notified = false;   // on_idle already ran for this idle spell
+    bool link_unit = false;       // unacked masters counted in the detector
     std::uint64_t idle_epoch = 0; // wake epoch that on_idle last observed
-    bool link_published = false;     // entry live in link_deadlines_
-    bool service_published = false;  // entry live in service_deadlines_
-  };
-
-  /// Times at which a node needs a quantum although nothing was sent to
-  /// it, one entry per node. A node publishes its own entry from its
-  /// quantum; an idle worker parks until the earliest entry, then schedules
-  /// the nodes whose entries are due. Touched only off the message fast
-  /// path (end of quantum, worker idle transitions).
-  struct DeadlineTable {
-    std::mutex mutex;
-    std::map<NodeId, SimTime> at;  // guarded by mutex
+    SimTime due = 0;              // this node's entry in due_ (0 = none)
   };
 
   struct WorkerRec {
@@ -142,11 +134,9 @@ class MnMachine final : public Machine {
 
     const std::uint32_t index;
     // Run tokens are epoch-counted units (HAL_EPOCH_COUNTED → hal-lint
-    // HL009): every push into either queue must follow a note_sent or a
-    // pop from a sibling queue (a hand-off), so sent == handled keeps
+    // HL009): every push must follow a note_sent, so sent == handled keeps
     // proving no token hides in any run queue.
-    WsDeque<NodeSlot> local HAL_EPOCH_COUNTED;   // owner bottom, thieves top
-    MpscQueue<NodeId> inject HAL_EPOCH_COUNTED;  // off-pool token handoff
+    WsDeque<NodeSlot> local HAL_EPOCH_COUNTED;  // owner bottom, thieves top
     Xoshiro256 rng;               // steal-victim selection
     // Tokens this worker stole; only this worker writes it (count_steal).
     std::atomic<std::uint64_t> steals{0};
@@ -164,21 +154,21 @@ class MnMachine final : public Machine {
   };
 
   void worker_loop(std::uint32_t w);
-  /// Block until the inject queue looks non-empty, stop is requested, a wake
-  /// generation lands, or `deadline` (ns since epoch_, 0 = none) passes.
-  /// Re-arms `sleeping` before every predicate evaluation — required for
-  /// correctness against the MPSC queue's unreachable-suffix window (proof
-  /// in am/park_handshake.hpp).
+  /// Block until stop is requested, a wake generation lands, or `deadline`
+  /// (ns since epoch_, 0 = none) passes. Re-arms `sleeping` before every
+  /// predicate evaluation (the handshake in am/park_handshake.hpp).
   void park(WorkerRec& rec, std::uint64_t gen, SimTime deadline);
   /// Execute one quantum, as worker `w`, for the node whose token we hold.
   void run_node(NodeSlot& slot, std::uint32_t w);
   /// A unit of work became visible on `node`: publish a run token if none
   /// is pending (Idle→Queued), or flag the current quantum to requeue.
+  /// Off-pool (before run()) it does nothing: the priming sweep schedules
+  /// every node.
   void schedule(NodeId node);
   /// Publish `slot`'s run token (state already Queued): count the token in
-  /// the sent epoch, then push it where the calling thread may.
+  /// the sent epoch, then push it onto the calling worker's deque.
   void enqueue(NodeSlot& slot);
-  /// Next token for worker `rec`: inject queue, own deque, then stealing.
+  /// Next token for worker `rec`: own deque, then stealing.
   NodeSlot* next_runnable(WorkerRec& rec);
   /// Re-run next_runnable with a short pause between attempts, for up to
   /// kSearchNs, while fewer than max_searchers_ workers search. Gives up
@@ -191,24 +181,19 @@ class MnMachine final : public Machine {
     return tl_worker_ < 0 ? 0 : static_cast<std::uint32_t>(tl_worker_);
   }
   static void count_steal(WorkerRec& rec) noexcept;
-  void wake_worker(WorkerRec& rec) noexcept;
   /// Best-effort: rouse one parked worker to come steal, unless a searcher
   /// will (pure throughput — correctness never depends on a thief wake).
   void maybe_wake_thief() noexcept;
   /// Schedule every home node of `rec` that should re-observe global state:
   /// all of them on the priming pass, idle ones on later wake epochs.
   void sweep_home_nodes(WorkerRec& rec);
-  /// Set (`deadline` != 0) or erase `node`'s entry in `table`, from the
-  /// node's quantum. `published` is the token holder's record that the
-  /// entry exists, so a node with nothing to publish skips the mutex.
-  static void publish_deadline(DeadlineTable& table, bool& published,
-                               NodeId node, SimTime deadline);
-  /// The earliest deadline in `table`; 0 when it is empty.
-  static SimTime earliest_deadline(DeadlineTable& table);
-  /// Schedule every node whose deadline in `table` has passed. The node's
-  /// own quantum does the due work (fires the link timer, re-runs on_idle)
-  /// and refreshes its entry.
-  void schedule_due(DeadlineTable& table);
+  /// Set `slot`'s entry in due_ to `at` (0 = none) from the node's quantum,
+  /// and lower next_due_ to it if it is sooner.
+  void publish_due(NodeSlot& slot, SimTime at);
+  /// Once next_due_ has passed: schedule every node whose entry has, and
+  /// recompute next_due_. The nodes' own quanta do the due work (fire the
+  /// link timer, re-run on_idle) and publish again.
+  void fire_due();
 
   // LinkSink (fault plane).
   void link_transmit(Packet p, SimTime extra_delay_ns) override;
@@ -217,6 +202,8 @@ class MnMachine final : public Machine {
   // At most half the pool (at least one worker) searches at once, so an
   // oversubscribed pool leaves cores to the workers that hold tokens.
   std::uint32_t max_searchers_;
+  bool ran_ = false;  // run() runs once: its priming sweep is what
+                      // schedules the packets sent before it
   std::vector<NodeSlot> slots_;
   std::vector<std::unique_ptr<WorkerRec>> workers_;
   // One participant per worker; each counts its epochs on its own shard.
@@ -234,12 +221,13 @@ class MnMachine final : public Machine {
   // clock_, so timers never fire early.
   FastClock clock_;
   std::chrono::steady_clock::time_point epoch_;
-  // Link retransmission deadlines of nodes with unacked masters.
-  DeadlineTable link_deadlines_;
-  // Service deadlines of idle nodes whose client wants a later on_idle
-  // re-run (NodeClient::service_deadline, e.g. the balancer's backed-off
-  // repoll).
-  DeadlineTable service_deadlines_;
+  // Per node, the time it next needs a quantum although nothing was sent
+  // to it (0 = never): the sooner of its link's next retransmission and its
+  // client's service deadline (NodeClient::service_deadline, e.g. the
+  // balancer's backed-off repoll). Touched only off the message fast path:
+  // by a quantum whose time changed, and by a worker back from a park.
+  std::mutex due_mutex_;
+  std::vector<SimTime> due_;  // guarded by due_mutex_
   // Shared scheduler counters, a cache line each: every searching worker
   // polls wake_epoch_, and idle transitions write sleepers_ and searchers_,
   // so none may share a line with another or with the fields above.
@@ -249,6 +237,12 @@ class MnMachine final : public Machine {
   alignas(64) std::atomic<std::uint64_t> wake_epoch_{0};
   alignas(64) std::atomic<std::uint32_t> sleepers_{0};   // thief-wake gate
   alignas(64) std::atomic<std::uint32_t> searchers_{0};  // inside search()
+  // Never later than the earliest entry of due_ (0 = due_ is empty); written
+  // under due_mutex_. The idle path reads it without the lock to time its
+  // park. A worker that published an entry reads a value no later than it
+  // (what it saw under the lock, or a later write, which keeps the bound),
+  // so every entry times the park of the worker that published it.
+  alignas(64) std::atomic<SimTime> next_due_{0};
 
   static thread_local int tl_worker_;  // index into workers_, -1 off-pool
 

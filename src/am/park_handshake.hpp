@@ -1,10 +1,9 @@
 // Park/wake handshake: the seq_cst RMW flag protocol between a parking
 // consumer and its producers.
 //
-// MnMachine's workers park on it (MnMachine::park, wake_worker,
-// maybe_wake_thief) with `StdAtomics`; hal-mc instantiates it with model
-// atomics to exhaustively explore the producer/consumer interleavings
-// (docs/model-checking.md).
+// MnMachine's workers park on it (MnMachine::park, maybe_wake_thief) with
+// `StdAtomics`; hal-mc instantiates it with model atomics to exhaustively
+// explore the producer/consumer interleavings (docs/model-checking.md).
 //
 // Protocol:
 //
@@ -49,7 +48,9 @@
 //
 // A waker that bumps a generation counter instead of pushing (a thief wake)
 // takes the same path: claim_wake() true, then bump under the consumer's
-// mutex, which the predicate reads under that mutex.
+// mutex, which the predicate reads under that mutex. MnMachine's workers
+// have only such wakers (their predicate is the generation and the stop
+// flag); the queue form above is the one hal-mc's park scenarios check.
 //
 // The arm-per-evaluation loop shape is pinned by hal-lint HL006, the orders
 // by HL007, the interleavings by hal-mc's park scenarios, and the whole

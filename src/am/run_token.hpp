@@ -17,21 +17,33 @@
 //                                     +----------------- kRunningNotified
 //                                      retire_or_requeue() sees the flag
 //
-// Every transition is a seq_cst RMW (or a store sequenced inside the
-// token-holder's quantum), so successive owners of the token are linked by
-// a happens-before chain through the cell: the plain per-node fields (the
-// kernel, probes, buffer pool, link endpoint — everything single-writer)
-// are handed over race-free. The two safety properties hal-mc checks:
+// Every write to the cell is a seq_cst RMW, so successive owners of the
+// token are linked by a happens-before chain through the cell: the plain
+// per-node fields (the kernel, probes, buffer pool, link endpoint —
+// everything single-writer) are handed over race-free. The two safety properties hal-mc checks:
 //
 //   * exactly-one-runner: between a begin_quantum() and its matching
 //     retire/requeue, no other thread's begin_quantum() can run (publish()
 //     can only reach kQueued/kRunningNotified, never a second kRunning).
-//   * no lost unit: a publish() that runs after a unit of work became
-//     visible either wins Idle→Queued (a fresh token exists), observes a
-//     pending token (kQueued/kRunningNotified — its quantum will look), or
-//     flags the in-progress quantum (kRunning→kRunningNotified — the
-//     runner's retire CAS fails and requeues). No interleaving strands the
-//     unit in an unscheduled mailbox.
+//   * no lost unit: a sender makes its unit visible (a mailbox push, whose
+//     link store is only a release) and then calls publish(). Whatever
+//     state it finds, publish() writes the cell with an RMW: Idle→Queued
+//     (a fresh token exists), Running→RunningNotified (the runner's retire
+//     CAS fails and requeues), or a pending kQueued/kRunningNotified
+//     rewritten with itself. Every other write is an RMW too, so the
+//     sender's RMW heads a release sequence that every later write
+//     continues, and every runner RMW that follows it in the cell's
+//     modification order acquires the unit. A quantum that begins after
+//     the sender's RMW therefore drains the unit; one that began before it
+//     was flagged, so it ends in requeue() or a failed retire, whose RMWs
+//     acquire the unit before the next quantum begins. A publish() that
+//     only *loaded* a pending state, or a requeue that stored kQueued
+//     plainly, would synchronize with no one: on x86 the push can still
+//     sit in the sender's store buffer while its load reads kQueued, the
+//     runner's drain and empty() miss it, and retire takes the node to
+//     kIdle over a packet that nothing will schedule again (the
+//     store-buffering shape). hal-mc's run_token_mailbox scenarios compose
+//     this cell with the real MpscQueue and pin both halves.
 #pragma once
 
 #include <atomic>
@@ -85,7 +97,14 @@ class RunTokenCell {
           break;
         case State::kQueued:
         case State::kRunningNotified:
-          return false;  // token already pending; its quantum sees our unit
+          // A token is already pending. Rewrite the state with itself: the
+          // RMW is what makes the next begin_quantum acquire our unit (see
+          // "no lost unit" above); a bare load would publish nothing.
+          if (state_.compare_exchange_weak(cur, cur,
+                                           std::memory_order_seq_cst)) {
+            return false;
+          }
+          break;
       }
     }
   }
@@ -100,7 +119,7 @@ class RunTokenCell {
   /// End of quantum with work remaining: the runner keeps the token and
   /// re-publishes it itself (round-robin fairness among runnable nodes).
   void requeue() noexcept {
-    state_.store(State::kQueued, std::memory_order_seq_cst);
+    state_.exchange(State::kQueued, std::memory_order_seq_cst);
   }
 
   /// End of quantum with no work observed. Returns false when the node went
@@ -116,7 +135,7 @@ class RunTokenCell {
       return false;
     }
     HAL_DASSERT(expected == State::kRunningNotified);
-    state_.store(State::kQueued, std::memory_order_seq_cst);
+    state_.exchange(State::kQueued, std::memory_order_seq_cst);
     return true;
   }
 

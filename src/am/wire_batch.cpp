@@ -42,7 +42,7 @@ void FrameBuilder::add(Packet p, SimTime now, const BatchConfig& cfg,
 Packet FrameBuilder::close(NodeId src, NodeId dst, FlushCause cause,
                            const BatchConfig& cfg) {
   HAL_ASSERT(count_ != 0);
-  if (cfg.adaptive && cause == FlushCause::kTimer) {
+  if (cause == FlushCause::kTimer) {
     // Only timer flushes teach us anything: a fill flush closed before the
     // deadline mattered (raising the holdoff there would just tax the next
     // latency-critical singleton on a bursty channel), and idle/barrier

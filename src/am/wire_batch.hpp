@@ -31,10 +31,10 @@
 //             detection must never see a held frame)
 //   barrier — an unbatchable packet needed the channel, or shutdown drain
 //
-// The holdoff adapts per destination when BatchConfig::adaptive: a fill
-// flush doubles it (the channel is hot — wait for fuller frames), a timer
-// flush of a near-empty frame halves it (latency-bound traffic), clamped
-// to [holdoff_min_ns, holdoff_max_ns]. All decisions depend only on the
+// The holdoff adapts per destination on timer flushes: a nearly full frame
+// doubles it (the channel is hot — wait for fuller frames), a near-empty
+// frame halves it (latency-bound traffic), clamped to
+// [holdoff_min_ns, holdoff_max_ns]. All decisions depend only on the
 // deterministic flush sequence, so SimMachine reports stay byte-identical.
 //
 // Ownership: frame buffers come from the *sending* node's BufferPool
@@ -90,8 +90,6 @@ struct BatchConfig {
   /// Adaptive holdoff clamp range.
   SimTime holdoff_min_ns = 1'000;
   SimTime holdoff_max_ns = 100'000;
-  /// Adapt the holdoff per destination from the observed flush causes.
-  bool adaptive = true;
 
   bool valid() const noexcept {
     if (!enabled) return true;

@@ -3,8 +3,7 @@
 // Each node's network endpoint on MnMachine is an MpscQueue<Packet> that
 // remote nodes push into and only the node's current execution stream pops
 // from — matching the paper's model where the network interface delivers
-// into a node and the node manager drains it. MnMachine's per-worker inject
-// queues reuse it for off-pool run-token handoff.
+// into a node and the node manager drains it.
 #pragma once
 
 #include <atomic>
@@ -80,8 +79,7 @@ class MpscQueue {
   /// producer's half-finished one (head_ already swung, prev->next not yet
   /// stored). A consumer that parks on "empty" must therefore re-arm its
   /// wakeup flag before every check, so the producer that closes the gap
-  /// re-notifies — see MnMachine::park and the proof in
-  /// am/park_handshake.hpp.
+  /// re-notifies — see the proof in am/park_handshake.hpp.
   bool empty() const {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
   }

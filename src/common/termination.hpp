@@ -28,6 +28,13 @@
 //     its inbox looked empty; it calls activate() before consuming anything
 //     after a wakeup. A participant may only wake up because a unit was
 //     published to it (or shutdown was requested) — never spontaneously.
+//     MnMachine's deactivated workers also wake when the earliest
+//     published deadline passes, and then schedule the nodes that are due.
+//     A link deadline is published only while its node's link unit is
+//     outstanding, so no check passes until the link is acked; a service
+//     deadline only re-runs an idle client's on_idle, and the balancer's
+//     sends nothing once the work hint is zero, which it is whenever no
+//     node holds work. A wake that finds nothing due publishes nothing.
 //   * The `extra` quantity probed by check() (work tokens) is mutated only
 //     by active participants.
 //   * Every caller's shard lies in the collected range [0, min(P, 16)),

@@ -214,6 +214,48 @@ TEST(MnMachine, ServiceDeadlineRerunsIdleClient) {
   run_service_deadline(m);
 }
 
+// The firing policy: only a worker that went idle fires service deadlines,
+// because an idle node's repoll is spare-capacity work. On one worker, node
+// 0 stays busy for kSpell of wall time while node 1 asks, at every on_idle,
+// to be re-run 1 ms later; it stops asking once the spell is over. Firing
+// deadlines at quantum boundaries would re-run node 1 about once per
+// millisecond of the spell; the idle-only policy reaches its deadline only
+// after the spell, when it no longer wants the re-run.
+TEST(MnMachine, ServiceDeadlineWaitsForAnIdleWorker) {
+  constexpr SimTime kSpell = 20'000'000;  // 20 ms
+  struct Spinner : NodeClient {
+    Machine* machine = nullptr;
+    void handle(Packet) override {}
+    bool step() override { return has_work(); }
+    bool has_work() const override { return machine->now(0) < kSpell; }
+  };
+  struct Repoller : NodeClient {
+    Machine* machine = nullptr;
+    SimTime deadline = 0;
+    std::size_t idle_runs = 0;  // node 1's stream only
+    void handle(Packet) override {}
+    bool step() override { return false; }
+    bool has_work() const override { return false; }
+    void on_idle() override {
+      ++idle_runs;
+      deadline = machine->now(1) + kServiceDelay;
+    }
+    SimTime service_deadline() const override {
+      return machine->now(1) < kSpell ? deadline : 0;
+    }
+  };
+  MnMachine m(2, CostModel::zero(), /*workers=*/1);
+  Spinner busy;
+  Repoller repoller;
+  busy.machine = &m;
+  repoller.machine = &m;
+  m.attach(0, &busy);
+  m.attach(1, &repoller);
+  m.run();
+  EXPECT_GE(m.now(0), kSpell);
+  EXPECT_EQ(repoller.idle_runs, 1u);
+}
+
 // --- MST ---------------------------------------------------------------------------
 
 TEST(Mst, CoversAllNodesExactlyOnce) {

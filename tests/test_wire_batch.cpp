@@ -199,7 +199,6 @@ TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
   RuntimeConfig cfg;
   cfg.batching.holdoff_ns = 5'000'000'000;  // 5 s
   cfg.batching.holdoff_max_ns = 5'000'000'000;
-  cfg.batching.adaptive = false;
   const StormResult r = run_flood(cfg, /*per_sender=*/40);
   EXPECT_EQ(r.sum, flood_expect(4, 40));
   EXPECT_EQ(r.dead, 0u);
@@ -214,7 +213,6 @@ TEST(WireBatchFault, MnMachineIdleFlushTerminatesWithHugeHoldoff) {
   cfg.machine = MachineKind::kMn;
   cfg.batching.holdoff_ns = 5'000'000'000;
   cfg.batching.holdoff_max_ns = 5'000'000'000;
-  cfg.batching.adaptive = false;
   // Completion alone is the assertion: a missing idle flush would park this
   // run for ~5 s per held frame (and trip the suite's timeout).
   const StormResult r = run_flood(cfg, /*per_sender=*/40);

@@ -10,7 +10,7 @@
 // books and quiescence is declared over live traffic (or never at all).
 //
 // Channels opt in with HAL_EPOCH_COUNTED on the member (MnMachine's
-// local/inject run-token queues and its mailboxes). Per function the check
+// per-worker run-token deques and its mailboxes). Per function the check
 // resolves reference aliases (`MpscQueue<Packet>& q = *mailboxes_[n];`),
 // then demands:
 //

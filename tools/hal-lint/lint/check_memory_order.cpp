@@ -134,14 +134,15 @@ const std::vector<Policy>& policies() {
        },
        {}},
       // Run tokens (am/run_token.hpp): the per-node Idle/Queued/Running/
-      // RunningNotified cell is an all-seq_cst CAS protocol — the RMWs carry
+      // RunningNotified cell is an all-seq_cst RMW protocol — every write is
+      // an RMW, so each sender's publish heads a release sequence the next
+      // runner acquires (no plain store may break it), and the RMWs carry
       // the happens-before chain between successive token owners.
       {"run_tokens",
        "RunTokenCell",
        false,
        {
            {"state_", "load", "", {"seq_cst"}},
-           {"state_", "store", "", {"seq_cst"}},
            {"state_", "exchange", "", {"seq_cst"}},
            {"state_", "compare_exchange_weak", "", {"seq_cst"}},
            {"state_", "compare_exchange_strong", "", {"seq_cst"}},
@@ -175,7 +176,9 @@ const std::vector<Policy>& policies() {
       // searcher bookkeeping is relaxed-advisory — the searcher cap is a
       // CAS against a relaxed count, and maybe_wake_thief may skip a wake on
       // a stale read because the token's owner runs it anyway. Steal counts
-      // live in each worker's record, written by that worker alone.
+      // live in each worker's record, written by that worker alone. The
+      // deadline hint next_due_ is written under the deadline table's mutex
+      // and read without it only to time a park or skip the lock: relaxed.
       {"mn_scheduler",
        "MnMachine",
        false,
@@ -190,6 +193,8 @@ const std::vector<Policy>& policies() {
            {"wake_epoch_", "fetch_add", "", {"seq_cst"}},
            {"wake_epoch_", "load", "", {"acquire", "seq_cst"}},
            {"wake_epoch_", "load", "wake_epoch", {"relaxed"}},
+           {"next_due_", "load", "", {"relaxed"}},
+           {"next_due_", "store", "", {"relaxed"}},
        },
        {
            {"wake_hook", "wake_epoch_", "fetch_add", {"seq_cst"}},
@@ -197,6 +202,8 @@ const std::vector<Policy>& policies() {
        {
            {"searchers_", "maybe_wake_thief"},
            {"sleepers_", "maybe_wake_thief"},
+           {"next_due_", "publish_due"},
+           {"next_due_", "fire_due"},
        }},
       // FrameBuilder deadlines: plain fields, safety by execution-stream
       // affinity. No atomics allowed at all.

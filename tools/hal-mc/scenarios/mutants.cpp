@@ -71,12 +71,16 @@ const std::vector<MutantDef>& mutants() {
        "the scan reads the idle shard without acquiring the deactivate: "
        "the declarer's teardown read races with the idle flush"},
       // --- run-token cell (run_token.hpp) -----------------------------
+      // The new runner acquires through its own winning publish() RMW in
+      // run_token_exclusive, so only a runner whose token was queued by
+      // someone else (run_token_mailbox) exposes this downgrade.
       {"token_begin_quantum_release",
        {"run_token.hpp", "::begin_quantum", "exchange", order::kSeqCst,
         order::kRelease},
-       "run_token_exclusive",
-       "the new runner starts its quantum without acquiring the previous "
-       "owner's retire: data race on the node's plain state"},
+       "run_token_mailbox",
+       "the queued runner starts its quantum without acquiring the "
+       "sender's publish: its drain misses the pushed packet and retire "
+       "strands it behind an idle token"},
       {"token_retire_acquire",
        {"run_token.hpp", "::retire_or_requeue", "compare_exchange_strong",
         order::kSeqCst, order::kAcquire},

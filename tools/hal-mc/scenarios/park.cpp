@@ -1,7 +1,9 @@
 // Scenarios: the park/wake handshake (am/park_handshake.hpp) around a
-// Vyukov MPSC inbox — the MnMachine::park / wake_worker protocol.
+// Vyukov MPSC inbox — the general form of the protocol, whose producers
+// push before they claim. MnMachine::park runs the same loop with a wake
+// generation as its predicate (park_thief_claim's thief).
 //
-// park_wakeup is the production shape: the consumer re-arms before EVERY
+// park_wakeup is the canonical shape: the consumer re-arms before EVERY
 // predicate evaluation; a producer that claims the wake takes the mutex
 // before notifying. The model condition variable never wakes spuriously
 // and never drops a notify sent to a waiter, so the only way the consumer
@@ -21,7 +23,7 @@
 // same flag: the parked worker's predicate also fires on a bumped wake
 // generation, and the thief claims the flag before it bumps and notifies.
 // A claim hides the armed flag from every later waker — including the
-// inject producer, whose wake is the one correctness needs — so whoever
+// queue producer, whose wake is the one correctness needs — so whoever
 // claims must notify. park_thief_claim_no_notify is its twin: the thief
 // claims and bumps but skips the notify; hal-mc must find the consumer
 // parked forever over a queued unit.
@@ -172,7 +174,7 @@ const Register reg_pr8{Scenario{
 
 const Register reg_thief{Scenario{
     .name = "park_thief_claim",
-    .description = "inject wake and claimed thief wake on one park flag: "
+    .description = "queue wake and claimed thief wake on one park flag: "
                    "whoever claims notifies, so no lost wakeup",
     .body = park_thief_claim,
     .expect_violation = false,
